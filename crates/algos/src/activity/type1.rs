@@ -14,7 +14,7 @@
 //!   tree over end order.
 //! * [`max_weight_type1_pam`] — the literal Algorithm 2 on PA-BSTs
 //!   (`pp-pam`), kept as the reference implementation and for the
-//!   flat-vs-tree ablation (DESIGN.md §5.3).
+//!   flat-vs-tree ablation (the `ablations` bench binary).
 
 use super::Activity;
 use phase_parallel::{run_type1_cancellable, CancelToken, Report, Type1Problem};

@@ -1,4 +1,4 @@
-//! Ablations for the design choices DESIGN.md §5 calls out:
+//! Ablations for three of the implementation's design choices:
 //!
 //! 1. LIS pivot strategy: uniformly random (analyzed, Lemma 5.5) vs
 //!    right-most unfinished (§6.4 heuristic) — wake-up counts and time.

@@ -7,9 +7,9 @@
 //! phase-parallel work-efficiency argument — and drifts above w* when
 //! w* is small (parallelism starves).
 //!
-//! Substitution (DESIGN.md §2): RMAT power-law graphs stand in for the
-//! social networks, at a laptop scale (2^16 vertices, ~2^20 edges by
-//! default; PP_SCALE multiplies edges).
+//! Substitution (the README's "Scenarios" section): RMAT power-law
+//! graphs stand in for the social networks, at a laptop scale (2^16
+//! vertices, ~2^20 edges by default; PP_SCALE multiplies edges).
 //!
 //! `cargo run --release -p pp-bench --bin fig6`
 

@@ -7,9 +7,14 @@
 //! shared prepared instances behind the scenario-keyed LRU cache — at
 //! 1 and 8 worker threads. Each replay's digest chain must equal the
 //! one-shot (prepare-per-query, uncached) reference digest, and the
-//! cache hit rate must clear 0.9: a Zipf-skewed trace that misses the
-//! cache more than a tenth of the time means the keying or the LRU is
-//! broken.
+//! cache must prepare each distinct scenario key of the trace exactly
+//! once with no eviction: a re-preparation means the keying, the LRU
+//! or single-flight is broken. That check is exact at any thread
+//! count. The hit rate is not: under concurrency, queries that wait on
+//! another query's in-flight preparation count as (coalesced) misses,
+//! however the workers happen to be scheduled. The `hit_rate >= 0.9`
+//! floor therefore applies to the 1-thread leg only, where the miss
+//! count is the trace's compulsory misses and nothing else.
 //!
 //! Run in CI with `PP_SMOKE=1` (tiny instances; the properties are
 //! size-independent). `PP_SCALE` scales instances up for local runs.
@@ -30,7 +35,16 @@ fn main() {
     let queries = 64usize;
     let mut failures = 0usize;
     let table = pp_bench::Table::new(&[
-        "entry", "threads", "queries", "prepares", "hit_rate", "p50_ns", "served",
+        "entry",
+        "threads",
+        "queries",
+        "keys",
+        "prepares",
+        "evictions",
+        "coalesced",
+        "hit_rate",
+        "p50_ns",
+        "served",
     ]);
     for entry in pp_algos::registry::registry() {
         // Up to three of the entry's scenario families, Zipf-mixed into
@@ -38,6 +52,9 @@ fn main() {
         // and sequence entries sequence scenarios).
         let scenarios: Vec<ScenarioSpec> = entry.scenarios().into_iter().take(3).collect();
         let trace = QueryTrace::generate(&scenarios, &TraceConfig::new(queries, 17));
+        // The trace's compulsory misses: one preparation per tenant it
+        // touches (every smoke instance fits the default cache budget).
+        let keys = trace.distinct_scenarios() as u64;
         for threads in [1usize, 8] {
             let tier = ServingTier::new(
                 entry.name(),
@@ -46,32 +63,39 @@ fn main() {
             .expect("registry entry");
             let report = tier.serve_trace(&trace);
             let conforms = report.digest == tier.reference_digest(&trace);
-            let hit_rate = report.counters.hit_rate();
-            let ok = conforms && hit_rate >= 0.9;
-            if !ok {
+            let counters = report.counters;
+            let hit_rate = counters.hit_rate();
+            let verdict = if !conforms {
+                "DIVERGED"
+            } else if counters.prepares != keys || counters.evictions != 0 {
+                "REPREPARED"
+            } else if threads == 1 && hit_rate < 0.9 {
+                "COLD"
+            } else {
+                "ok"
+            };
+            if verdict != "ok" {
                 failures += 1;
             }
             table.row(&[
                 entry.name().to_string(),
                 threads.to_string(),
                 report.queries.to_string(),
-                report.counters.prepares.to_string(),
+                keys.to_string(),
+                counters.prepares.to_string(),
+                counters.evictions.to_string(),
+                counters.coalesced.to_string(),
                 format!("{hit_rate:.3}"),
                 report.latency.quantile(0.5).unwrap_or(0).to_string(),
-                if !conforms {
-                    "DIVERGED".into()
-                } else if !ok {
-                    "COLD".into()
-                } else {
-                    "ok".into()
-                },
+                verdict.to_string(),
             ]);
         }
     }
     if failures > 0 {
         eprintln!(
             "serve_smoke: {failures} entry/thread legs diverged from the \
-             freshly-prepared reference or missed the cache"
+             freshly-prepared reference, re-prepared an instance or missed \
+             the cache"
         );
         std::process::exit(1);
     }

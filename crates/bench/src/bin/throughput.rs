@@ -304,8 +304,8 @@ fn main() {
                     }
                     // Prepared rows carry the batch's scheduler
                     // activity: lock traffic per task is the metric
-                    // that must drop under the deque scheduler even
-                    // when a single-core runner shows no speedup.
+                    // that must drop under the deque scheduler whatever
+                    // speedup the runner's core count allows.
                     let sched_fields = if tier_name == "prepared" {
                         format!(
                             ", \"sched_queue_locks\": {}, \"sched_steals\": {}, \
@@ -334,14 +334,16 @@ fn main() {
                 }
             }
             // Thread-scaling tripwire: warn (never fail) when the
-            // widest pool cannot beat one thread — expected on
-            // single-core containers, a real signal elsewhere.
+            // widest pool cannot beat one thread — a real signal on a
+            // multi-core host, though a tiny smoke instance or a noisy
+            // shared runner can trip it too (hence a warning, with
+            // `nproc` printed so the reader can judge).
             if prepared_qps_max <= prepared_qps_1t {
                 scaling_warnings += 1;
                 eprintln!(
                     "warning: {key} {family}: prepared qps at {} threads \
                      ({prepared_qps_max:.0}) <= 1-thread qps ({prepared_qps_1t:.0}) — \
-                     no thread scaling observed (nproc={}; expected on single-core runners)",
+                     no thread scaling observed (nproc={}; expected at nproc=1 or on tiny instances)",
                     thread_counts.last().unwrap(),
                     std::thread::available_parallelism()
                         .map(std::num::NonZeroUsize::get)

@@ -262,12 +262,12 @@ impl RunConfig {
 }
 
 /// Record the scheduler-activity delta a run produced into its stats,
-/// under the `sched_*` counter names. CI runs on one core, where
-/// speedups are unobservable — these counters are how the scheduler's
-/// *behavior* (lock traffic per task, steal balance, parking) stays
-/// assertable anyway. The snapshot pair must be taken inside the same
-/// pool `install` as the run, so the deltas come from the pool that
-/// actually executed it.
+/// under the `sched_*` counter names. Wall-clock speedups are capped by
+/// the host's core count and blurred by noise; these counters keep the
+/// scheduler's *behavior* (lock traffic per task, steal balance,
+/// parking) assertable on any host. The snapshot pair must be taken
+/// inside the same pool `install` as the run, so the deltas come from
+/// the pool that actually executed it.
 fn record_sched_counters(stats: &mut ExecutionStats, delta: rayon::SchedulerCounters) {
     stats.set_counter("sched_queue_locks", delta.queue_locks);
     stats.set_counter("sched_steals", delta.steals);
@@ -525,7 +525,7 @@ impl<A: PhaseAlgorithm> Solver<A> {
     }
 
     /// How many dedicated pools this solver has built (diagnostics).
-    /// Each build spawns `threads` OS workers, so repeated solves must
+    /// Each build spawns `threads - 1` OS workers, so repeated solves must
     /// reuse the cached pool; `with_config` rebuilds only on an actual
     /// thread-count change, and this counter proves it.
     pub fn pool_builds(&self) -> u32 {

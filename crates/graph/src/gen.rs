@@ -1,5 +1,6 @@
 //! Synthetic graph generators — the stand-ins for the paper's datasets
-//! (see DESIGN.md §2 for the substitution table).
+//! (the README's "Scenarios" section lists which family stands in for
+//! which dataset).
 
 use crate::builder::GraphBuilder;
 use crate::csr::Graph;

@@ -19,7 +19,8 @@
 //! paper's SSSP setup ("we fix the largest edge weight as 2^23, vary w*
 //! ... and set the weight uniformly at random in this range").
 //!
-//! See DESIGN.md §2 for the substitution rationale.
+//! The README's "Scenarios" section lists the stand-in each generator
+//! provides (RMAT for social networks, grids for road networks).
 
 #![forbid(unsafe_code)]
 

@@ -66,7 +66,8 @@ pub fn div_ceil(a: usize, b: usize) -> usize {
     a.div_ceil(b)
 }
 
-/// Number of worker threads rayon will use for this process.
+/// Number of threads (workers plus the participating caller) rayon
+/// will use for this process.
 pub fn num_threads() -> usize {
     rayon::current_num_threads()
 }

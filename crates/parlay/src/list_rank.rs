@@ -5,9 +5,9 @@
 //! depth in the pivot forest. The paper computes depths with `O(n)`-work
 //! tree contraction \[18\]; we use pointer jumping (a.k.a. pointer doubling),
 //! which is `O(n log d)` work and `O(log d · log n)` span for forest depth
-//! `d` — the standard practical substitute, documented as a substitution in
-//! DESIGN.md. For the random inputs of the experiments `d = O(rank)` and
-//! the extra `log` factor is irrelevant to the measured shapes.
+//! `d` — the standard practical substitute. For the random inputs of the
+//! experiments `d = O(rank)` and the extra `log` factor is irrelevant to
+//! the measured shapes.
 
 use rayon::prelude::*;
 

@@ -267,9 +267,11 @@ pub struct ServingTier {
     /// fork-join latches *inside* the serving pool would drain that
     /// pool's queue and could execute another serving job mid-prepare —
     /// which must then bypass the leader's own in-flight slot (it may
-    /// be stacked on it) and pay a redundant preparation. Preparing
-    /// under a one-thread pool runs the nested regions inline instead,
-    /// so flights always have exactly one leader making progress.
+    /// be stacked on it) and pay a redundant preparation. A 1-thread
+    /// pool spawns no worker: the leader that installs it is its only
+    /// participant, so the nested regions run inline on the leader and
+    /// flights always have exactly one leader making progress. Holding
+    /// the pool costs no OS thread.
     prep_pool: rayon::ThreadPool,
 }
 

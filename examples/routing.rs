@@ -58,8 +58,8 @@ fn main() {
         max: 1 << 23,
     };
 
-    // Social-network stand-in: low diameter, skewed degrees (§6.3 /
-    // DESIGN.md substitution for Twitter/Friendster).
+    // Social-network stand-in: low diameter, skewed degrees (§6.3; the
+    // README's scenario table substitutes it for Twitter/Friendster).
     let social = ScenarioSpec::parse("graph/rmat")
         .unwrap()
         .with_weights(weights)

@@ -10,14 +10,18 @@
 //! the full design). It runs [`join`], [`scope`],
 //! [`ThreadPool::install`] and every parallel-iterator driver
 //! (`par_iter`, `par_chunks_mut`, `map_init`, `ParallelExtend`, …) on
-//! the pool's worker threads. [`ThreadPoolBuilder::num_threads`] is
-//! honored and [`current_num_threads`] is truthful, so thread-count
-//! knobs (`RunConfig::threads`, `RAYON_NUM_THREADS`) change actual
+//! the pool's threads. A pool of `n` threads spawns `n - 1` workers;
+//! the calling thread is the `n`-th participant and works while its
+//! region is open, so a region never has more runnable threads than
+//! the pool's size (a 1-thread pool spawns none and runs inline).
+//! [`ThreadPoolBuilder::num_threads`] is honored and
+//! [`current_num_threads`] is truthful, so thread-count knobs
+//! (`RunConfig::threads`, `RAYON_NUM_THREADS`) change actual
 //! concurrency, not just a label. [`scheduler_counters`] exposes the
 //! scheduler's bookkeeping (queue-lock acquisitions, steals, parks,
 //! injector pushes, executed jobs) so schedulers can be compared by
-//! counters even on single-core CI, where wall-clock scaling is
-//! invisible.
+//! counters, independently of how much wall-clock scaling the host's
+//! cores allow.
 //!
 //! Every entry point is a drop-in signature match for the real rayon
 //! (including the rayon-specific `reduce(identity, op)` shape and the
@@ -55,10 +59,10 @@ pub mod prelude {
     pub use crate::slice::{ParallelSlice, ParallelSliceMut};
 }
 
-/// Number of worker threads in the current pool: the installed pool's
-/// count inside [`ThreadPool::install`] (and on its workers), the
-/// global pool's otherwise (`RAYON_NUM_THREADS` or the machine's
-/// available parallelism).
+/// Number of threads in the current pool, the participating caller
+/// included: the installed pool's count inside [`ThreadPool::install`]
+/// (and on its workers), the global pool's otherwise
+/// (`RAYON_NUM_THREADS` or the machine's available parallelism).
 pub fn current_num_threads() -> usize {
     pool::current_registry().num_threads()
 }
@@ -68,9 +72,10 @@ pub fn current_num_threads() -> usize {
 /// only ever increase; diff two snapshots with
 /// [`SchedulerCounters::since`] to attribute activity to a region.
 ///
-/// These exist because single-core CI cannot observe scheduler quality
-/// as wall-clock scaling: the counters make "fewer lock acquisitions
-/// per task, steals actually happen, nobody busy-spins" assertable.
+/// These exist because wall-clock scaling is capped by the host's core
+/// count and blurred by noise: the counters make "fewer lock
+/// acquisitions per task, steals actually happen, nobody busy-spins"
+/// assertable on any host.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedulerCounters {
     /// Deque mutex acquisitions (owner pushes/pops, steal attempts).
@@ -139,14 +144,15 @@ impl ThreadPoolBuilder {
         Self::default()
     }
 
-    /// Request `n` worker threads; `0` (or not calling this) means the
+    /// Request an `n`-thread pool (`n - 1` spawned workers plus the
+    /// thread that enters it); `0` (or not calling this) means the
     /// default count (`RAYON_NUM_THREADS` / available parallelism).
     pub fn num_threads(mut self, n: usize) -> Self {
         self.num_threads = Some(n);
         self
     }
 
-    /// Spawn the pool's workers. Fails — with a reachable, tested
+    /// Spawn the pool's `n - 1` workers. Fails — with a reachable, tested
     /// [`ThreadPoolBuildError`] — if the count exceeds the shim's cap
     /// or the OS refuses a thread.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
@@ -170,11 +176,12 @@ impl ThreadPoolBuilder {
     }
 }
 
-/// A dedicated pool of worker threads. [`ThreadPool::install`] makes it
-/// the current pool for the duration of a closure: parallel regions
-/// inside fan out across this pool's workers (the calling thread helps
-/// drain the queue while it waits). Dropping the pool shuts the workers
-/// down.
+/// A dedicated pool of `n` threads: `n - 1` spawned workers, and the
+/// thread that calls [`ThreadPool::install`] as the `n`-th.
+/// `install` makes it the current pool for the duration of a closure:
+/// parallel regions inside fan out across the workers while the caller
+/// works through the same queues until its region completes. Dropping
+/// the pool shuts the workers down.
 pub struct ThreadPool {
     registry: std::sync::Arc<pool::Registry>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -187,7 +194,7 @@ impl ThreadPool {
         f()
     }
 
-    /// This pool's worker count.
+    /// This pool's thread count, the participating caller included.
     pub fn current_num_threads(&self) -> usize {
         self.registry.num_threads()
     }
@@ -255,18 +262,55 @@ mod tests {
     fn join_and_pool_are_truthful() {
         let (a, b) = crate::join(|| 1 + 1, || "x".to_string() + "y");
         assert_eq!((a, b.as_str()), (2, "xy"));
+        // The thread that enters a pool is its n-th participant, so an
+        // n-thread pool spawns n - 1 workers.
         let four = pool(4);
         assert_eq!(four.install(crate::current_num_threads), 4);
         assert_eq!(four.current_num_threads(), 4);
+        assert_eq!(four.handles.len(), 3);
         let single = pool(1);
         assert_eq!(single.install(crate::current_num_threads), 1);
+        assert!(
+            single.handles.is_empty(),
+            "a 1-thread pool spawns no worker"
+        );
+    }
+
+    #[test]
+    fn one_thread_pool_runs_scope_and_join_on_the_caller() {
+        fn sum_on(caller: std::thread::ThreadId, v: &[u64]) -> u64 {
+            assert_eq!(std::thread::current().id(), caller);
+            if v.len() <= 4 {
+                return v.iter().sum();
+            }
+            let (a, b) = v.split_at(v.len() / 2);
+            let (x, y) = crate::join(|| sum_on(caller, a), || sum_on(caller, b));
+            x + y
+        }
+        let single = pool(1);
+        let caller = std::thread::current().id();
+        let spawned = AtomicUsize::new(0);
+        single.install(|| {
+            crate::scope(|s| {
+                for _ in 0..8 {
+                    s.spawn(|_| {
+                        assert_eq!(std::thread::current().id(), caller);
+                        spawned.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+            });
+        });
+        assert_eq!(spawned.load(Ordering::Relaxed), 8);
+        let v: Vec<u64> = (0..1000).collect();
+        assert_eq!(single.install(|| sum_on(caller, &v)), 999 * 1000 / 2);
     }
 
     #[test]
     fn work_actually_reaches_worker_threads() {
-        // 32 deliberately slow chunks on a 4-worker pool: the caller
+        // 32 deliberately slow chunks on a 4-thread pool: the caller
         // alone would need ~64ms of sleeping, so workers pick chunks up
-        // even on a single hardware core.
+        // even on a single hardware core — but never more threads than
+        // the pool has, caller included.
         let pool = pool(4);
         let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
         pool.install(|| {
@@ -277,8 +321,8 @@ mod tests {
         });
         let distinct = seen.lock().unwrap().len();
         assert!(
-            distinct >= 2,
-            "expected >1 executing thread, saw {distinct}"
+            (2..=4).contains(&distinct),
+            "expected 2..=4 executing threads, saw {distinct}"
         );
     }
 

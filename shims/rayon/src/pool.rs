@@ -6,6 +6,16 @@
 //! Since PR 8 the scheduler is a Blumofe–Leiserson-style work-stealing
 //! arrangement replacing the original single mutex-protected FIFO:
 //!
+//! - **One thread per participant.** A pool of `n` threads spawns
+//!   `n - 1` workers; the thread that enters the pool (the
+//!   [`crate::ThreadPool::install`] caller, or any outside caller of a
+//!   region on the global pool) is the `n`-th participant and works
+//!   through [`Registry::wait_latch`] until its region completes — the
+//!   arrangement of the OpenMP master thread and Java's common
+//!   `ForkJoinPool`. A region therefore has `n` runnable threads, the
+//!   `P` workers on `P` processors the work-stealing bounds assume,
+//!   not `n + 1` competing for time slices. A 1-thread pool spawns no
+//!   thread at all: every region runs inline on its caller.
 //! - **Per-worker deques.** Every worker owns a double-ended queue of
 //!   type-erased [`JobRef`]s. The owner pushes and pops at the *tail*
 //!   (LIFO — the cache-warm, Cilk-style depth-first end); idle workers
@@ -17,14 +27,15 @@
 //!   unlike the old design the lock is *per worker*, so queue traffic
 //!   no longer serializes the whole pool. The exported scheduler
 //!   counters ([`crate::SchedulerCounters`]) make that claim
-//!   measurable on 1-core CI.
-//! - **A lock-free injector** for submissions from outside the pool
-//!   (the thread inside [`crate::ThreadPool::install`], the global
-//!   pool's callers): a Treiber chain of boxed job segments pushed
-//!   with a CAS and consumed by swapping the whole chain out. The
-//!   classic ABA hazard does not arise: the push CAS never
-//!   dereferences the head value it observed, and only a chain's
-//!   exclusive owner (the thread that swapped it out) frees segments.
+//!   measurable independently of wall-clock scaling.
+//! - **A lock-free injector** for submissions from outside the
+//!   workers (the participating caller inside
+//!   [`crate::ThreadPool::install`], the global pool's callers): a
+//!   Treiber chain of boxed job segments pushed with a CAS and
+//!   consumed by swapping the whole chain out. The classic ABA hazard
+//!   does not arise: the push CAS never dereferences the head value it
+//!   observed, and only a chain's exclusive owner (the thread that
+//!   swapped it out) frees segments.
 //! - **Steal-back is a tail pop.** A [`join`] caller reclaims its
 //!   second closure by checking the tail of its *own* deque — O(1) —
 //!   instead of the old O(n) pointer scan under a global lock. A
@@ -359,9 +370,10 @@ struct ParkState {
 }
 
 /// One thread pool's shared state: per-worker deques, the external
-/// injector, the parking protocol, and the worker count.
+/// injector, the parking protocol, and the thread count.
 pub(crate) struct Registry {
-    /// One mutex-guarded deque per worker. Owner pushes/pops at the
+    /// One mutex-guarded deque per spawned worker (`num_threads - 1`;
+    /// the participating caller has none). Owner pushes/pops at the
     /// back (LIFO), thieves pop at the front (FIFO).
     deques: Vec<Mutex<VecDeque<JobRef>>>,
     /// Lock-free chain for jobs submitted from non-worker threads.
@@ -388,19 +400,22 @@ pub(crate) struct Registry {
     /// completion (the latter may have opened their latch).
     helper_wake: Condvar,
     counters: SchedCounters,
+    /// Participants: the spawned workers plus the entering caller.
     num_threads: usize,
     /// `num_threads` capped by the machine's available parallelism:
-    /// the fan-out the chunk drivers size for. Workers beyond the core
+    /// the fan-out the chunk drivers size for. Threads beyond the core
     /// count can only add contention, so an oversubscribed pool (e.g.
-    /// 8 workers on a 1-core CI container) keeps its truthful
-    /// `num_threads` but schedules coarser chunks.
+    /// 8 threads on a 2-core host) keeps its truthful `num_threads`
+    /// but schedules coarser chunks.
     parallelism: usize,
 }
 
 impl Registry {
-    /// Spawn `num_threads` workers around a fresh registry. On a spawn
-    /// failure the already-started workers are shut down before the
-    /// error is returned (the builder surfaces it as a
+    /// Build a registry for a `num_threads`-thread pool: spawn
+    /// `num_threads - 1` workers, each with its own deque; the thread
+    /// that enters the pool is the last participant (see the module
+    /// docs). On a spawn failure the already-started workers are shut
+    /// down before the error is returned (the builder surfaces it as a
     /// [`crate::ThreadPoolBuildError`]).
     pub(crate) fn spawn(
         num_threads: usize,
@@ -408,10 +423,9 @@ impl Registry {
         let hardware = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
+        let workers = num_threads.saturating_sub(1);
         let registry = Arc::new(Registry {
-            deques: (0..num_threads)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
+            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             injector: Injector::new(),
             pending: AtomicUsize::new(0),
             completions: AtomicUsize::new(0),
@@ -424,16 +438,15 @@ impl Registry {
             job_ready: Condvar::new(),
             helper_wake: Condvar::new(),
             counters: SchedCounters::default(),
-            // Report at least 1 even for the zero-worker fallback
-            // registry: rayon's contract is `current_num_threads() >=
-            // 1`, and callers divide by it (block sizing in scans). A
-            // zero-worker pool reports 1 and `is_sequential()` routes
-            // every region inline, so no job ever needs a worker.
+            // rayon's contract is `current_num_threads() >= 1`, and
+            // callers divide by it (block sizing in scans). A 1-thread
+            // pool has no workers; `is_sequential()` routes every
+            // region inline, so no job ever needs one.
             num_threads: num_threads.max(1),
             parallelism: num_threads.min(hardware).max(1),
         });
-        let mut handles = Vec::with_capacity(num_threads);
-        for index in 0..num_threads {
+        let mut handles = Vec::with_capacity(workers);
+        for index in 0..workers {
             let reg = Arc::clone(&registry);
             let spawned = std::thread::Builder::new()
                 .name(format!("pp-rayon-{index}"))
@@ -452,20 +465,20 @@ impl Registry {
         Ok((registry, handles))
     }
 
-    /// The pool's worker count (what [`crate::current_num_threads`]
-    /// reports inside this pool).
+    /// The pool's thread count, caller included (what
+    /// [`crate::current_num_threads`] reports inside this pool).
     pub(crate) fn num_threads(&self) -> usize {
         self.num_threads
     }
 
-    /// The fan-out drivers should size chunk counts for (worker count
+    /// The fan-out drivers should size chunk counts for (thread count
     /// capped by hardware cores; see the field docs).
     pub(crate) fn parallelism(&self) -> usize {
         self.parallelism
     }
 
-    /// True when parallel regions should just run inline: a one-worker
-    /// pool gains nothing from queue round-trips.
+    /// True when parallel regions should just run inline: a 1-thread
+    /// pool has no worker to hand a job to.
     pub(crate) fn is_sequential(&self) -> bool {
         self.num_threads <= 1
     }
@@ -867,9 +880,9 @@ fn global_registry() -> Arc<Registry> {
     Arc::clone(GLOBAL_REGISTRY.get_or_init(|| {
         let threads = global_thread_count();
         let (registry, _handles) = Registry::spawn(threads).unwrap_or_else(|_| {
-            // Last resort: a pool with no workers still executes
-            // correctly (every driver runs inline).
-            Registry::spawn(0).expect("zero-thread registry cannot fail")
+            // Last resort: a 1-thread pool spawns no workers and still
+            // executes correctly (every driver runs inline).
+            Registry::spawn(1).expect("a 1-thread registry spawns nothing")
         });
         // Global workers live for the process; handles are detached.
         registry
@@ -1212,7 +1225,7 @@ impl<'scope> Scope<'scope> {
     {
         self.latch.add(1);
         if self.registry.is_sequential() {
-            // Inline execution keeps one-worker pools queue-free; the
+            // Inline execution keeps 1-thread pools queue-free; the
             // latch bookkeeping stays identical.
             if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| body(self))) {
                 let mut slot = self.panic.lock().unwrap();
