@@ -9,7 +9,9 @@
 
 use super::pivots::latest_start_pivots;
 use super::Activity;
-use phase_parallel::{run_type2_cancellable, CancelToken, Report, Type2Problem, WakeResult};
+use phase_parallel::{
+    run_type2_cancellable, CancelToken, Initial, Report, Type2Problem, WakeResult,
+};
 use pp_ranges::AtomicFenwickMax;
 
 /// Type 2 algorithm. `acts` sorted by end time.
@@ -48,22 +50,18 @@ pub fn max_weight_type2_cancellable(
         type Info = u64; // the activity's DP value
         type Output = u64;
 
-        fn initial_pivots(&self) -> Vec<(u32, u32)> {
-            self.pivots
-                .iter()
-                .enumerate()
-                .filter_map(|(x, p)| p.map(|p| (p, x as u32)))
-                .collect()
-        }
-
-        fn initial_frontier(&self) -> Vec<(u32, u64)> {
-            // Rank-1 activities: no activity ends before they start.
-            self.pivots
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.is_none())
-                .map(|(x, _)| (x as u32, self.acts[x].weight))
-                .collect()
+        fn initial(&self) -> Initial<u64> {
+            // Rank-1 activities (no activity ends before they start) form
+            // the first frontier; every other activity waits on its pivot.
+            let mut frontier = Vec::new();
+            let mut pivots = Vec::new();
+            for (x, p) in self.pivots.iter().enumerate() {
+                match p {
+                    None => frontier.push((x as u32, self.acts[x].weight)),
+                    Some(p) => pivots.push((*p, x as u32)),
+                }
+            }
+            (frontier, pivots)
         }
 
         fn try_wake(&self, x: u32) -> WakeResult<u64> {

@@ -16,13 +16,13 @@
 //! [`pp_ranges::RangeTree3d`] — one `log` above Algorithm 3 in each
 //! bound, matching the appendix's claim.
 
+use crate::lis::PivotDraws;
 use phase_parallel::{
-    run_type2_cancellable, PivotMode, Report, RunConfig, Type2Problem, WakeResult,
+    probe_all, run_type2_cancellable, Initial, PivotMode, Report, RunConfig, Type2Problem,
+    WakeResult,
 };
-use pp_parlay::rng::{hash64, Rng};
 use pp_ranges::RangeTree3d;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A 3D point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -141,29 +141,22 @@ pub fn chain3d_par(pts: &[Point3], cfg: &RunConfig) -> Report<u32> {
         qb: Vec<u32>,
         qc: Vec<u32>,
         dp: Vec<u32>,
-        attempts: Vec<AtomicU32>,
-        seed: u64,
+        /// Pivot randomness. Each object is probed once in
+        /// [`Type2Problem::initial`] and once per wake-up; only a
+        /// blocked probe advances its draw counter (`attempts[x]` in
+        /// [`PivotDraws`]), so the counter counts each blocked probe
+        /// exactly once.
+        draws: PivotDraws,
         n: usize,
     }
 
     impl Problem {
         fn probe(&self, x: u32) -> WakeResult<u32> {
-            let (qa, qb, qc) = (
-                self.qa[x as usize],
-                self.qb[x as usize],
-                self.qc[x as usize],
-            );
-            let info = self.tree.query_prefix(qa, qb, qc);
-            if info.unfinished == 0 {
-                WakeResult::Ready(info.max_dp.map_or(1, |d| d + 1))
-            } else {
-                let attempt = self.attempts[x as usize].fetch_add(1, Ordering::Relaxed);
-                let mut rng = Rng::new(hash64(self.seed, (attempt as u64) << 32 | x as u64));
-                let pivot = self
-                    .tree
-                    .select_pivot(qa, qb, qc, &mut rng)
-                    .expect("unfinished predecessor exists");
-                WakeResult::Blocked { new_pivot: pivot }
+            let i = x as usize;
+            let (qa, qb, qc) = (self.qa[i], self.qb[i], self.qc[i]);
+            match self.tree.probe(qa, qb, qc, || self.draws.next(x)) {
+                Ok(max_dp) => WakeResult::Ready(max_dp.map_or(1, |d| d + 1)),
+                Err(pivot) => WakeResult::Blocked { new_pivot: pivot },
             }
         }
     }
@@ -172,26 +165,10 @@ pub fn chain3d_par(pts: &[Point3], cfg: &RunConfig) -> Report<u32> {
         type Info = u32;
         type Output = (Vec<u32>, u32);
 
-        fn initial_pivots(&self) -> Vec<(u32, u32)> {
+        fn initial(&self) -> Initial<u32> {
             // No virtual point here: probe every object once up front;
-            // blocked ones hang off their first pivot.
-            (0..self.n as u32)
-                .into_par_iter()
-                .filter_map(|x| match self.probe(x) {
-                    WakeResult::Ready(_) => None,
-                    WakeResult::Blocked { new_pivot } => Some((new_pivot, x)),
-                })
-                .collect()
-        }
-
-        fn initial_frontier(&self) -> Vec<(u32, u32)> {
-            (0..self.n as u32)
-                .into_par_iter()
-                .filter_map(|x| match self.probe(x) {
-                    WakeResult::Ready(dp) => Some((x, dp)),
-                    WakeResult::Blocked { .. } => None,
-                })
-                .collect()
+            // blocked ones wait on their first pivot.
+            probe_all(self.n as u32, |x| self.probe(x))
         }
 
         fn try_wake(&self, x: u32) -> WakeResult<u32> {
@@ -218,8 +195,7 @@ pub fn chain3d_par(pts: &[Point3], cfg: &RunConfig) -> Report<u32> {
             qb: b_bound,
             qc: c_bound,
             dp: vec![0; n],
-            attempts: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            seed,
+            draws: PivotDraws::new(seed, n),
             n,
         },
         cfg.cancel.as_ref(),

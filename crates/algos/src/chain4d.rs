@@ -13,13 +13,12 @@
 //! test for the 4D tree; [`crate::whac::whac2d_par`] maps moles onto it.
 
 use crate::chain3d::slots;
+use crate::lis::PivotDraws;
 use phase_parallel::{
-    run_type2_cancellable, PivotMode, Report, RunConfig, Type2Problem, WakeResult,
+    probe_all, run_type2_cancellable, Initial, PivotMode, Report, RunConfig, Type2Problem,
+    WakeResult,
 };
-use pp_parlay::rng::{hash64, Rng};
 use pp_ranges::{RangeTree3d, RangeTree4d};
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A 4D point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,8 +123,12 @@ pub fn chain4d_par(pts: &[Point4], cfg: &RunConfig) -> Report<u32> {
         qc: Vec<u32>,
         qd: Vec<u32>,
         dp: Vec<u32>,
-        attempts: Vec<AtomicU32>,
-        seed: u64,
+        /// Pivot randomness. Each object is probed once in
+        /// [`Type2Problem::initial`] and once per wake-up; only a
+        /// blocked probe advances its draw counter (`attempts[x]` in
+        /// [`PivotDraws`]), so the counter counts each blocked probe
+        /// exactly once.
+        draws: PivotDraws,
         n: usize,
     }
 
@@ -133,17 +136,9 @@ pub fn chain4d_par(pts: &[Point4], cfg: &RunConfig) -> Report<u32> {
         fn probe(&self, x: u32) -> WakeResult<u32> {
             let i = x as usize;
             let (qa, qb, qc, qd) = (self.qa[i], self.qb[i], self.qc[i], self.qd[i]);
-            let info = self.tree.query_prefix(qa, qb, qc, qd);
-            if info.unfinished == 0 {
-                WakeResult::Ready(info.max_dp.map_or(1, |d| d + 1))
-            } else {
-                let attempt = self.attempts[i].fetch_add(1, Ordering::Relaxed);
-                let mut rng = Rng::new(hash64(self.seed, (attempt as u64) << 32 | x as u64));
-                let pivot = self
-                    .tree
-                    .select_pivot(qa, qb, qc, qd, &mut rng)
-                    .expect("unfinished predecessor exists");
-                WakeResult::Blocked { new_pivot: pivot }
+            match self.tree.probe(qa, qb, qc, qd, || self.draws.next(x)) {
+                Ok(max_dp) => WakeResult::Ready(max_dp.map_or(1, |d| d + 1)),
+                Err(pivot) => WakeResult::Blocked { new_pivot: pivot },
             }
         }
     }
@@ -152,24 +147,10 @@ pub fn chain4d_par(pts: &[Point4], cfg: &RunConfig) -> Report<u32> {
         type Info = u32;
         type Output = (Vec<u32>, u32);
 
-        fn initial_pivots(&self) -> Vec<(u32, u32)> {
-            (0..self.n as u32)
-                .into_par_iter()
-                .filter_map(|x| match self.probe(x) {
-                    WakeResult::Ready(_) => None,
-                    WakeResult::Blocked { new_pivot } => Some((new_pivot, x)),
-                })
-                .collect()
-        }
-
-        fn initial_frontier(&self) -> Vec<(u32, u32)> {
-            (0..self.n as u32)
-                .into_par_iter()
-                .filter_map(|x| match self.probe(x) {
-                    WakeResult::Ready(dp) => Some((x, dp)),
-                    WakeResult::Blocked { .. } => None,
-                })
-                .collect()
+        fn initial(&self) -> Initial<u32> {
+            // No virtual point here: probe every object once up front;
+            // blocked ones wait on their first pivot.
+            probe_all(self.n as u32, |x| self.probe(x))
         }
 
         fn try_wake(&self, x: u32) -> WakeResult<u32> {
@@ -197,8 +178,7 @@ pub fn chain4d_par(pts: &[Point4], cfg: &RunConfig) -> Report<u32> {
             qc: c_bound,
             qd: d_bound,
             dp: vec![0; n],
-            attempts: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            seed,
+            draws: PivotDraws::new(seed, n),
             n,
         },
         cfg.cancel.as_ref(),

@@ -16,6 +16,7 @@ pub mod patterns;
 mod seq;
 mod weighted;
 
+pub(crate) use par::PivotDraws;
 pub use par::{lis_par, lis_par_with_dp, lis_weighted_par};
 pub use phase_parallel::PivotMode;
 pub use seq::{lis_seq, lis_seq_with_dp};

@@ -3,18 +3,49 @@
 //! Objects are 2D points `(i, a_i)`; the predecessors of an object are
 //! exactly the points in its lower-left quadrant (Fig. 3). A virtual
 //! point `p[0] = (0, -∞)` with DP value 0 seeds the computation and is
-//! every object's initial pivot. Each round, the objects whose pivot
-//! just finished are *attempted*: a prefix-rectangle query on the
-//! augmented 2D range tree either certifies readiness (no unfinished
-//! predecessor — DP value = max DP in the rectangle + 1) or yields a new
-//! unfinished pivot (uniformly random, or right-most under the §6.4
-//! heuristic).
+//! every object's initial pivot, so round 0 drains one wait list of all
+//! `n` objects. Each round, the objects whose pivot just finished are
+//! *attempted*: one [`RangeTree2d::probe`] walk of the prefix rectangle
+//! either certifies readiness (no unfinished predecessor — DP value =
+//! max DP in the rectangle + 1) or yields a new unfinished pivot
+//! (uniformly random, or right-most under the §6.4 heuristic) for the
+//! object to wait on. The wait lists themselves are the engine's
+//! `T_pivot` (see `phase_parallel::type2`).
 
-use phase_parallel::{run_type2_cancellable, Report, RunConfig, Type2Problem, WakeResult};
+use phase_parallel::{run_type2_cancellable, Initial, Report, RunConfig, Type2Problem, WakeResult};
 use pp_parlay::rng::{hash64, Rng};
 use pp_ranges::RangeTree2d;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
+
+/// Per-object pivot randomness of the range-tree Type 2 problems (LIS,
+/// Whac-A-Mole, the dominance chains). The `k`-th *blocked* probe of
+/// object `x` draws its pivot from `Rng::new(hash64(seed, k << 32 | x))`:
+/// [`PivotDraws::next`] is called exactly once per blocked probe —
+/// including a blocked initial probe — and never for a ready one, so
+/// an object's pivot stream depends only on the seed, its id and how
+/// often it was blocked, not on the schedule or the round layout.
+pub(crate) struct PivotDraws {
+    seed: u64,
+    /// Blocked probes so far, per object.
+    attempts: Vec<AtomicU32>,
+}
+
+impl PivotDraws {
+    /// Draws for objects `0..n`, none blocked yet.
+    pub(crate) fn new(seed: u64, n: usize) -> Self {
+        Self {
+            seed,
+            attempts: (0..n).map(|_| AtomicU32::new(0)).collect(),
+        }
+    }
+
+    /// The generator for `x`'s next blocked probe.
+    pub(crate) fn next(&self, x: u32) -> Rng {
+        let attempt = self.attempts[x as usize].fetch_add(1, Ordering::Relaxed);
+        Rng::new(hash64(self.seed, (attempt as u64) << 32 | x as u64))
+    }
+}
 
 /// Parallel LIS (Algorithm 3). Deterministic in `cfg.seed` for a fixed
 /// schedule; the resulting length is schedule-independent. The report's
@@ -78,10 +109,8 @@ fn lis_engine(values: &[i64], weights: Option<&[u32]>, cfg: &RunConfig) -> Repor
         dp: Vec<u32>,
         /// Per-object weights (None = unit weights, the length LIS).
         weights: Option<&'w [u32]>,
-        /// Wake-up attempt counter per tree point, for deterministic
-        /// per-attempt randomness.
-        attempts: Vec<AtomicU32>,
-        seed: u64,
+        /// Per-point pivot randomness.
+        draws: PivotDraws,
         n: usize,
     }
 
@@ -96,32 +125,22 @@ fn lis_engine(values: &[i64], weights: Option<&[u32]>, cfg: &RunConfig) -> Repor
         type Info = u32;
         type Output = (Vec<u32>, u32);
 
-        fn initial_pivots(&self) -> Vec<(u32, u32)> {
-            // Every real object initially pivots on the virtual point
-            // (Algorithm 3 line 21).
-            (1..=self.n as u32).map(|x| (0, x)).collect()
-        }
-
-        fn initial_frontier(&self) -> Vec<(u32, u32)> {
-            vec![(0, 0)] // the virtual point, DP value 0
+        fn initial(&self) -> Initial<u32> {
+            // The virtual point (DP value 0) is the round-0 frontier and
+            // every real object's first pivot (Algorithm 3 line 21).
+            (vec![(0, 0)], (1..=self.n as u32).map(|x| (0, x)).collect())
         }
 
         fn try_wake(&self, x: u32) -> WakeResult<u32> {
             let qy = self.qy[x as usize - 1];
-            let info = self.tree.query_prefix(x, qy);
-            if info.unfinished == 0 {
+            match self.tree.probe(x, qy, || self.draws.next(x)) {
                 // Ready: the rectangle always contains the (finished)
                 // virtual point, so max_dp is present.
-                let base = info.max_dp.expect("virtual point in range");
-                WakeResult::Ready(base + self.weight_of(x))
-            } else {
-                let attempt = self.attempts[x as usize].fetch_add(1, Ordering::Relaxed);
-                let mut rng = Rng::new(hash64(self.seed, (attempt as u64) << 32 | x as u64));
-                let pivot = self
-                    .tree
-                    .select_pivot(x, qy, &mut rng)
-                    .expect("unfinished predecessor exists");
-                WakeResult::Blocked { new_pivot: pivot }
+                Ok(max_dp) => {
+                    let base = max_dp.expect("virtual point in range");
+                    WakeResult::Ready(base + self.weight_of(x))
+                }
+                Err(pivot) => WakeResult::Blocked { new_pivot: pivot },
             }
         }
 
@@ -143,8 +162,7 @@ fn lis_engine(values: &[i64], weights: Option<&[u32]>, cfg: &RunConfig) -> Repor
         qy,
         dp: vec![0; n + 1],
         weights,
-        attempts: (0..=n).map(|_| AtomicU32::new(0)).collect(),
-        seed,
+        draws: PivotDraws::new(seed, n + 1),
         n,
     };
     let ((dp_all, length), stats, outcome) = run_type2_cancellable(problem, cfg.cancel.as_ref());

@@ -967,6 +967,35 @@ mod tests {
     }
 
     #[test]
+    fn type2_wakeup_counts_are_pinned() {
+        // (entry, rounds, wakeup_attempts, failed_wakeups) at size 2000,
+        // seed 11, default (random) pivots. Each object's pivot stream
+        // depends only on the seed, its id and its attempt count, so
+        // these hold for any schedule and any `T_pivot` layout.
+        let pins = [
+            ("lis", 77, 12604, 10604),
+            ("lis/weighted", 77, 12604, 10604),
+            ("whac", 154, 14043, 12043),
+            ("activity/type2", 98, 1987, 0),
+            ("whac/2d", 148, 11571, 9592),
+            ("chain3d", 27, 7431, 5451),
+            ("chain4d", 13, 5331, 3417),
+        ];
+        for (name, rounds, attempts, failed) in pins {
+            let outcome = lookup(name)
+                .unwrap()
+                .run_case(&CaseSpec::new(2000, 11), &RunConfig::seeded(11));
+            assert!(outcome.agrees(), "{name} diverged");
+            let s = &outcome.stats;
+            assert_eq!(
+                (s.rounds, s.wakeup_attempts, s.failed_wakeups),
+                (rounds, attempts, failed),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
     fn digests_are_order_sensitive() {
         assert_ne!(vec![1u32, 2].digest(), vec![2u32, 1].digest());
         assert_ne!(vec![0u64].digest(), vec![0u64, 0].digest());

@@ -66,4 +66,4 @@ pub use solver::{
 pub use stats::ExecutionStats;
 pub use tas_tree::{TasForest, TasTree};
 pub use type1::{run_type1, run_type1_cancellable, Type1Problem};
-pub use type2::{run_type2, run_type2_cancellable, Type2Problem, WakeResult};
+pub use type2::{probe_all, run_type2, run_type2_cancellable, Initial, Type2Problem, WakeResult};

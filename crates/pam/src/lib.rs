@@ -19,10 +19,11 @@
 //! aggregation (`aug_range`) answers the 1D range-sum queries of
 //! Theorem 2.1 in `O(log n)`.
 //!
-//! [`Multimap`] layers duplicate-key storage on top (the `T_pivot`
-//! structure of the Type 2 algorithms, Theorem 2.2), and
-//! [`NestedMultimap`] is the literal two-level nested-BST form of
-//! Appendix A.
+//! [`Multimap`] layers duplicate-key storage on top (the multimap of
+//! Theorem 2.2), and [`NestedMultimap`] is the literal two-level
+//! nested-BST form of Appendix A. The paper keeps the Type 2 `T_pivot`
+//! in such a multimap; the `phase-parallel` engine uses flat per-pivot
+//! wait lists instead and tests them against [`Multimap`].
 //!
 //! ```
 //! use pp_pam::{AugTree, MaxAug};

@@ -1,12 +1,16 @@
 //! A multimap on top of [`AugTree`]: multiple values per key.
 //!
-//! This is the `T_pivot` structure of the Type 2 algorithms (§5.1,
-//! Algorithm 3 line 21): a map from *pivot* to the set of objects waiting
-//! on it. The paper implements it as a nested BST (Appendix A, "Parallel
-//! Nested BSTs"); we store entries keyed by the `(key, value)` pair, which
-//! gives the same Theorem 2.2 bounds with one tree level — `multi_find`
-//! of a batch of `m` keys returning `s` total values costs
-//! `O((m + s) log n)` work.
+//! The substrate of Theorem 2.2 and Appendix A: the paper keeps its
+//! Type 2 `T_pivot` (§5.1, Algorithm 3 line 21 — a map from *pivot* to
+//! the objects waiting on it) in such a multimap, implemented as a
+//! nested BST (Appendix A, "Parallel Nested BSTs"). We store entries
+//! keyed by the `(key, value)` pair, which gives the same Theorem 2.2
+//! bounds with one tree level — `multi_find` of a batch of `m` keys
+//! returning `s` total values costs `O((m + s) log n)` work. The
+//! `phase-parallel` Type 2 engine does not use it: each object waits on
+//! one pivot at a time and each pivot's waiters are read once, so flat
+//! intrusive lists do the same job in `O(1)` per wait; its tests use
+//! this multimap as their reference.
 
 use crate::augment::{Augment, NoAug};
 use crate::tree::AugTree;

@@ -5,9 +5,9 @@
 //! the same key will be organized as another BST ... associating with
 //! the corresponding key in the outer tree"), with the primary tree
 //! augmented by the total pair count. [`crate::Multimap`] is the flat
-//! pair-keyed alternative used in the hot paths; this nested form is
-//! kept as the faithful Appendix-A reference and is cross-checked
-//! against the flat one in tests.
+//! pair-keyed alternative; this nested form is kept as the faithful
+//! Appendix-A reference and is cross-checked against the flat one in
+//! tests.
 
 use crate::augment::{Augment, NoAug};
 use crate::tree::AugTree;

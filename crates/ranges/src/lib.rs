@@ -17,8 +17,10 @@
 //! * [`range2d`] — the augmented 2D range tree of Algorithm 3: prefix
 //!   rectangle queries returning (#unfinished, max DP value), pivot
 //!   selection among unfinished points (uniformly random by weighted
-//!   descent, or the right-most heuristic of §6.4), and parallel batch
-//!   "finish" updates. Work `O(log^2 n)` per operation, batch updates with
+//!   descent, or the right-most heuristic of §6.4), the fused `probe`
+//!   (readiness or pivot in one walk), and parallel batch "finish"
+//!   updates. [`range3d`] and [`range4d`] add one dominance dimension
+//!   each, with the same query, pivot and `probe` surface. Work `O(log^2 n)` per operation, batch updates with
 //!   `O(log^2 n)` span — matching Theorem 2.1 for k = 2.
 
 #![forbid(unsafe_code)]
@@ -29,6 +31,7 @@ pub mod range3d;
 pub mod range4d;
 pub mod segtree;
 pub mod sparse;
+mod walk;
 
 pub use fenwick::{AtomicFenwickMax, Fenwick, FenwickMax};
 pub use range2d::{PivotMode, PrefixInfo, RangeTree2d};

@@ -15,9 +15,12 @@
 //!   random (the analyzed strategy, Lemma 5.5) or the right-most
 //!   unfinished point (the practical heuristic of §6.4),
 //!
-//! and supports parallel batch *finish* updates. Queries are
-//! `O(log^2 n)`; a batch of `m` finishes costs `O(m log^2 n)` work and
-//! `O(log^2 n)` span — the bounds used in the proof of Theorem 5.6.
+//! and supports parallel batch *finish* updates. [`RangeTree2d::probe`]
+//! is the Type 2 readiness check in one walk: the max DP value if the
+//! rectangle has no unfinished point, else a pivot, drawn from the
+//! covering pieces the walk collected. Queries are `O(log^2 n)`; a
+//! batch of `m` finishes costs `O(m log^2 n)` work and `O(log^2 n)`
+//! span — the bounds used in the proof of Theorem 5.6.
 //!
 //! # Layout
 //!
@@ -28,6 +31,7 @@
 //! buckets of [`LEAF_SIZE`] points, which are answered by scanning —
 //! the "nested arrays for locality" engineering noted in §6.4.
 
+use crate::walk::Pieces;
 use pp_parlay::merge::par_merge_by;
 use pp_parlay::rng::Rng;
 use rayon::prelude::*;
@@ -86,6 +90,11 @@ impl Aug {
             dp1: 0,
             maxx: x,
         }
+    }
+
+    #[inline]
+    fn max_dp(self) -> Option<u32> {
+        self.dp1.checked_sub(1)
     }
 
     #[inline]
@@ -212,13 +221,10 @@ impl RangeTree2d {
     /// Aggregate information over the prefix rectangle
     /// `[0, qx) × [0, qy)`. `O(log^2 n)`.
     pub fn query_prefix(&self, qx: u32, qy: u32) -> PrefixInfo {
-        let mut acc = Aug::IDENTITY;
-        if self.n > 0 && qx > 0 && qy > 0 {
-            self.query_rec(0, qx, qy, &mut acc);
-        }
+        let acc = self.walk(qx, qy, None);
         PrefixInfo {
             unfinished: acc.cnt,
-            max_dp: if acc.dp1 > 0 { Some(acc.dp1 - 1) } else { None },
+            max_dp: acc.max_dp(),
             maxx_unfinished: if acc.cnt > 0 { Some(acc.maxx) } else { None },
         }
     }
@@ -227,34 +233,23 @@ impl RangeTree2d {
     /// according to the tree's [`PivotMode`]. Returns `None` if the
     /// rectangle has no unfinished point. `O(log^2 n)`.
     pub fn select_pivot(&self, qx: u32, qy: u32, rng: &mut Rng) -> Option<u32> {
-        if self.n == 0 || qx == 0 || qy == 0 {
-            return None;
-        }
-        match self.mode {
-            PivotMode::RightMost => self.query_prefix(qx, qy).maxx_unfinished,
-            PivotMode::Random => {
-                // Decompose the rectangle into pieces, then draw a point
-                // weighted by each piece's unfinished count.
-                let mut pieces: Vec<Piece> = Vec::with_capacity(32);
-                self.decompose(0, qx, qy, &mut pieces);
-                let total: u64 = pieces.iter().map(|p| p.cnt as u64).sum();
-                if total == 0 {
-                    return None;
-                }
-                let mut t = rng.range(total);
-                for p in &pieces {
-                    if t < p.cnt as u64 {
-                        return Some(match p.kind {
-                            PieceKind::LeafPoint(x) => x,
-                            PieceKind::SegPrefix { node, k } => {
-                                self.select_in_seg(node as usize, k, t as u32)
-                            }
-                        });
-                    }
-                    t -= p.cnt as u64;
-                }
-                unreachable!("weighted draw out of range")
-            }
+        let mut pieces = Pieces::new();
+        let acc = self.walk(qx, qy, Some(&mut pieces));
+        (acc.cnt > 0).then(|| self.pick(acc, &pieces, qx, qy, rng))
+    }
+
+    /// Readiness check of the Type 2 wake-up in one walk: `Ok(max_dp)`
+    /// if `[0, qx) × [0, qy)` has no unfinished point, else
+    /// `Err(pivot)`. `rng` is called exactly once, only when blocked,
+    /// and the pivot is the one [`RangeTree2d::select_pivot`] draws from
+    /// that generator. `O(log^2 n)`.
+    pub fn probe(&self, qx: u32, qy: u32, rng: impl FnOnce() -> Rng) -> Result<Option<u32>, u32> {
+        let mut pieces = Pieces::new();
+        let acc = self.walk(qx, qy, Some(&mut pieces));
+        if acc.cnt == 0 {
+            Ok(acc.max_dp())
+        } else {
+            Err(self.pick(acc, &pieces, qx, qy, &mut rng()))
         }
     }
 
@@ -281,13 +276,31 @@ impl RangeTree2d {
 
     // ---- internals ----
 
-    fn query_rec(&self, idx: usize, qx: u32, qy: u32, acc: &mut Aug) {
+    /// Aggregate the prefix rectangle; with `pieces`, also record its
+    /// covering pieces (one per covered node or leaf bucket).
+    fn walk(&self, qx: u32, qy: u32, mut pieces: Option<&mut Pieces<Piece>>) -> Aug {
+        let mut acc = Aug::IDENTITY;
+        if self.n > 0 && qx > 0 && qy > 0 {
+            self.walk_rec(0, qx, qy, &mut acc, &mut pieces);
+        }
+        acc
+    }
+
+    fn walk_rec(
+        &self,
+        idx: usize,
+        qx: u32,
+        qy: u32,
+        acc: &mut Aug,
+        pieces: &mut Option<&mut Pieces<Piece>>,
+    ) {
         let node = &self.nodes[idx];
         if qx <= node.lo {
             return;
         }
-        if node.is_leaf() {
+        let (agg, k) = if node.is_leaf() {
             // Scan the bucket against the live point state.
+            let mut agg = Aug::IDENTITY;
             for x in node.lo..node.hi.min(qx) {
                 if self.y_of_x[x as usize] < qy {
                     let a = if self.finished[x as usize] {
@@ -295,67 +308,49 @@ impl RangeTree2d {
                     } else {
                         Aug::unfinished(x)
                     };
-                    *acc = Aug::combine(*acc, a);
+                    agg = Aug::combine(agg, a);
                 }
             }
-            return;
-        }
-        if qx >= node.hi {
+            (agg, 0)
+        } else if qx >= node.hi {
             // Fully covered in x: aggregate the y-prefix via the inner tree.
             let k = node.ys.partition_point(|&y| y < qy);
+            let mut agg = Aug::IDENTITY;
             if k > 0 {
-                let m = node.ys.len();
-                let mut piece = Aug::IDENTITY;
-                seg_prefix(&node.seg, 0, m, k, &mut piece);
-                *acc = Aug::combine(*acc, piece);
+                seg_prefix(&node.seg, 0, node.ys.len(), k, &mut agg);
+            }
+            (agg, k as u32)
+        } else {
+            let mid = (node.lo + node.hi) / 2;
+            self.walk_rec(idx + 1, qx, qy, acc, pieces);
+            if qx > mid {
+                self.walk_rec(idx + 1 + node.lsize as usize, qx, qy, acc, pieces);
             }
             return;
-        }
-        let mid = (node.lo + node.hi) / 2;
-        self.query_rec(idx + 1, qx, qy, acc);
-        if qx > mid {
-            self.query_rec(idx + 1 + node.lsize as usize, qx, qy, acc);
+        };
+        *acc = Aug::combine(*acc, agg);
+        if let Some(p) = pieces {
+            let node = idx as u32;
+            p.push(agg.cnt, Piece { node, k });
         }
     }
 
-    /// Decompose the rectangle into weighted pieces for random selection.
-    fn decompose(&self, idx: usize, qx: u32, qy: u32, pieces: &mut Vec<Piece>) {
-        let node = &self.nodes[idx];
-        if qx <= node.lo {
-            return;
-        }
-        if node.is_leaf() {
-            for x in node.lo..node.hi.min(qx) {
-                if self.y_of_x[x as usize] < qy && !self.finished[x as usize] {
-                    pieces.push(Piece {
-                        cnt: 1,
-                        kind: PieceKind::LeafPoint(x),
-                    });
+    /// The pivot among `acc.cnt > 0` unfinished points of a walk.
+    fn pick(&self, acc: Aug, pieces: &Pieces<Piece>, qx: u32, qy: u32, rng: &mut Rng) -> u32 {
+        match self.mode {
+            PivotMode::RightMost => acc.maxx,
+            PivotMode::Random => {
+                let (piece, t) = pieces.draw(acc.cnt, rng);
+                let node = &self.nodes[piece.node as usize];
+                if node.is_leaf() {
+                    (node.lo..node.hi.min(qx))
+                        .filter(|&x| self.y_of_x[x as usize] < qy && !self.finished[x as usize])
+                        .nth(t as usize)
+                        .expect("counted unfinished")
+                } else {
+                    self.select_in_seg(piece.node as usize, piece.k, t)
                 }
             }
-            return;
-        }
-        if qx >= node.hi {
-            let k = node.ys.partition_point(|&y| y < qy);
-            if k > 0 {
-                let mut agg = Aug::IDENTITY;
-                seg_prefix(&node.seg, 0, node.ys.len(), k, &mut agg);
-                if agg.cnt > 0 {
-                    pieces.push(Piece {
-                        cnt: agg.cnt,
-                        kind: PieceKind::SegPrefix {
-                            node: idx as u32,
-                            k: k as u32,
-                        },
-                    });
-                }
-            }
-            return;
-        }
-        let mid = (node.lo + node.hi) / 2;
-        self.decompose(idx + 1, qx, qy, pieces);
-        if qx > mid {
-            self.decompose(idx + 1 + node.lsize as usize, qx, qy, pieces);
         }
     }
 
@@ -369,14 +364,12 @@ impl RangeTree2d {
     }
 }
 
+/// A covering piece of a prefix walk: a leaf bucket (scanned on a
+/// draw), or the first `k` y-ordered points of an internal node.
+#[derive(Clone, Copy, Default)]
 struct Piece {
-    cnt: u32,
-    kind: PieceKind,
-}
-
-enum PieceKind {
-    LeafPoint(u32),
-    SegPrefix { node: u32, k: u32 },
+    node: u32,
+    k: u32,
 }
 
 /// Recursive build: returns the subtree's nodes (recursive layout) and
@@ -591,11 +584,60 @@ mod tests {
                 maxx_unfinished: maxx,
             }
         }
+        /// The unfinished points of the rectangle in the order a
+        /// uniform draw indexes them: covering pieces of the outer tree
+        /// left to right, leaf buckets in x order, covered internal
+        /// nodes in y order.
+        fn draw_order(&self, qx: u32, qy: u32) -> Vec<u32> {
+            let mut out = Vec::new();
+            if !self.ys.is_empty() {
+                self.draw_order_rec(0, self.ys.len() as u32, qx, qy, &mut out);
+            }
+            out
+        }
+        fn draw_order_rec(&self, lo: u32, hi: u32, qx: u32, qy: u32, out: &mut Vec<u32>) {
+            if qx <= lo {
+                return;
+            }
+            let open = |x: &u32| self.ys[*x as usize] < qy && !self.finished[*x as usize];
+            if (hi - lo) as usize <= LEAF_SIZE {
+                out.extend((lo..hi.min(qx)).filter(open));
+            } else if qx >= hi {
+                let mut pts: Vec<u32> = (lo..hi).filter(open).collect();
+                pts.sort_unstable_by_key(|&x| self.ys[x as usize]);
+                out.extend(pts);
+            } else {
+                let mid = (lo + hi) / 2;
+                self.draw_order_rec(lo, mid, qx, qy, out);
+                self.draw_order_rec(mid, hi, qx, qy, out);
+            }
+        }
         fn unfinished_in(&self, qx: u32, qy: u32) -> Vec<u32> {
             (0..(qx as usize).min(self.ys.len()))
                 .filter(|&x| self.ys[x] < qy && !self.finished[x])
                 .map(|x| x as u32)
                 .collect()
+        }
+    }
+
+    /// `probe` is `query_prefix` + `select_pivot` in one walk: `Ok` iff
+    /// nothing in the rectangle is unfinished, else the pivot
+    /// `select_pivot` draws from an identically seeded generator — which
+    /// `probe` creates exactly once, and only when blocked.
+    fn check_probe(tree: &RangeTree2d, qx: u32, qy: u32, draw_seed: u64) {
+        let info = tree.query_prefix(qx, qy);
+        let calls = std::cell::Cell::new(0);
+        let got = tree.probe(qx, qy, || {
+            calls.set(calls.get() + 1);
+            Rng::new(draw_seed)
+        });
+        if info.unfinished == 0 {
+            assert_eq!(got, Ok(info.max_dp));
+            assert_eq!(calls.get(), 0);
+        } else {
+            let want = tree.select_pivot(qx, qy, &mut Rng::new(draw_seed));
+            assert_eq!(got, Err(want.unwrap()));
+            assert_eq!(calls.get(), 1);
         }
     }
 
@@ -612,17 +654,24 @@ mod tests {
                 let qx = rng.range(n as u64 + 1) as u32;
                 let qy = rng.range(n as u64 + 1) as u32;
                 assert_eq!(tree.query_prefix(qx, qy), oracle.query(qx, qy));
-                let pivot = tree.select_pivot(qx, qy, &mut rng);
+                let draw_seed = rng.next_u64();
+                let pivot = tree.select_pivot(qx, qy, &mut Rng::new(draw_seed));
                 let candidates = oracle.unfinished_in(qx, qy);
                 match pivot {
                     None => assert!(candidates.is_empty()),
                     Some(p) => {
                         assert!(candidates.contains(&p), "pivot {p} not a candidate");
-                        if mode == PivotMode::RightMost {
-                            assert_eq!(p, *candidates.iter().max().unwrap());
-                        }
+                        let want = match mode {
+                            PivotMode::RightMost => *candidates.iter().max().unwrap(),
+                            PivotMode::Random => {
+                                let order = oracle.draw_order(qx, qy);
+                                order[Rng::new(draw_seed).range(order.len() as u64) as usize]
+                            }
+                        };
+                        assert_eq!(p, want);
                     }
                 }
+                check_probe(&tree, qx, qy, draw_seed);
             }
             // Finish a random batch.
             let take = (rng.range(unfinished.len() as u64) + 1) as usize;

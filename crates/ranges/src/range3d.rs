@@ -17,6 +17,7 @@
 //! scanning, as in the 2D structure.
 
 use crate::range2d::{PivotMode, PrefixInfo, RangeTree2d};
+use crate::walk::{Acc, Pieces};
 use pp_parlay::rng::Rng;
 
 /// Outer bucket size; leaves are scanned directly.
@@ -100,15 +101,7 @@ impl RangeTree3d {
 
     /// Aggregate over the prefix box `[0, qa) × [0, qb) × [0, qc)`.
     pub fn query_prefix(&self, qa: u32, qb: u32, qc: u32) -> PrefixInfo {
-        let mut acc = Acc::default();
-        if self.n > 0 && qa > 0 && qb > 0 && qc > 0 {
-            self.query_rec(0, qa, qb, qc, &mut acc);
-        }
-        PrefixInfo {
-            unfinished: acc.unfinished,
-            max_dp: acc.max_dp,
-            maxx_unfinished: acc.max_id_unfinished,
-        }
+        self.walk([qa, qb, qc], None).info()
     }
 
     /// Pick a pivot point id among the unfinished points of the box.
@@ -118,39 +111,31 @@ impl RangeTree3d {
     /// sufficient for the wake-up framework, which only requires *some*
     /// unfinished predecessor.
     pub fn select_pivot(&self, qa: u32, qb: u32, qc: u32, rng: &mut Rng) -> Option<u32> {
-        if self.n == 0 || qa == 0 || qb == 0 || qc == 0 {
-            return None;
-        }
-        match self.mode {
-            PivotMode::RightMost => self.query_prefix(qa, qb, qc).maxx_unfinished,
-            PivotMode::Random => {
-                let mut pieces: Vec<Piece> = Vec::new();
-                self.decompose(0, qa, qb, qc, &mut pieces);
-                let total: u64 = pieces.iter().map(|p| p.cnt as u64).sum();
-                if total == 0 {
-                    return None;
-                }
-                let mut t = rng.range(total);
-                for p in &pieces {
-                    if t < p.cnt as u64 {
-                        return Some(match p.kind {
-                            PieceKind::LeafPoint(id) => id,
-                            PieceKind::NodeBox { node, qx, qy } => {
-                                let nd = &self.nodes[node as usize];
-                                let x2d = nd
-                                    .tree
-                                    .as_ref()
-                                    .expect("internal node")
-                                    .select_pivot(qx, qy, rng)
-                                    .expect("counted unfinished");
-                                nd.ids_by_b[x2d as usize]
-                            }
-                        });
-                    }
-                    t -= p.cnt as u64;
-                }
-                unreachable!("weighted draw out of range")
-            }
+        let q = [qa, qb, qc];
+        let mut pieces = Pieces::new();
+        let acc = self.walk(q, Some(&mut pieces));
+        (acc.unfinished > 0).then(|| self.pick(&acc, &pieces, q, rng))
+    }
+
+    /// Readiness check of the Type 2 wake-up in one outer walk:
+    /// `Ok(max_dp)` if the box has no unfinished point, else
+    /// `Err(pivot)`. `rng` is called exactly once, only when blocked,
+    /// and the pivot is the one [`RangeTree3d::select_pivot`] draws
+    /// from that generator.
+    pub fn probe(
+        &self,
+        qa: u32,
+        qb: u32,
+        qc: u32,
+        rng: impl FnOnce() -> Rng,
+    ) -> Result<Option<u32>, u32> {
+        let q = [qa, qb, qc];
+        let mut pieces = Pieces::new();
+        let acc = self.walk(q, Some(&mut pieces));
+        if acc.unfinished == 0 {
+            Ok(acc.max_dp)
+        } else {
+            Err(self.pick(&acc, &pieces, q, &mut rng()))
         }
     }
 
@@ -199,121 +184,97 @@ impl RangeTree3d {
         }
     }
 
-    fn query_rec(&self, idx: usize, qa: u32, qb: u32, qc: u32, acc: &mut Acc) {
+    /// Aggregate the prefix box `q`; with `pieces`, also record its
+    /// covering pieces (one per covered node or leaf bucket).
+    fn walk(&self, q: [u32; 3], mut pieces: Option<&mut Pieces<Piece>>) -> Acc {
+        let mut acc = Acc::default();
+        if self.n > 0 && q.iter().all(|&b| b > 0) {
+            self.walk_rec(0, q, &mut acc, &mut pieces);
+        }
+        acc
+    }
+
+    /// Whether point `id` lies in the box `q` in its `b` and `c`
+    /// coordinates.
+    #[inline]
+    fn in_bc(&self, id: u32, q: [u32; 3]) -> bool {
+        let i = id as usize;
+        self.b_of_id[i] < q[1] && self.c_of_id[i] < q[2]
+    }
+
+    fn walk_rec(
+        &self,
+        idx: usize,
+        q: [u32; 3],
+        acc: &mut Acc,
+        pieces: &mut Option<&mut Pieces<Piece>>,
+    ) {
         let nd = &self.nodes[idx];
-        if qa <= nd.lo {
+        if q[0] <= nd.lo {
             return;
         }
-        if nd.is_leaf() {
-            for s in nd.lo..nd.hi.min(qa) {
+        let mut piece = Piece {
+            node: idx as u32,
+            ..Piece::default()
+        };
+        let cnt = if nd.is_leaf() {
+            let before = acc.unfinished;
+            for s in nd.lo..nd.hi.min(q[0]) {
                 let id = self.id_of_a[s as usize];
-                if self.b_of_id[id as usize] < qb && self.c_of_id[id as usize] < qc {
+                if self.in_bc(id, q) {
                     acc.add_point(id, self.finished[id as usize], self.dp[id as usize]);
                 }
             }
-            return;
-        }
-        if qa >= nd.hi {
-            let qx = nd.bs.partition_point(|&x| x < qb) as u32;
-            let qy = nd.cs.partition_point(|&x| x < qc) as u32;
-            if qx > 0 && qy > 0 {
-                let info = nd.tree.as_ref().expect("internal").query_prefix(qx, qy);
-                acc.unfinished += info.unfinished;
-                if let Some(d) = info.max_dp {
-                    acc.max_dp = Some(acc.max_dp.map_or(d, |m| m.max(d)));
-                }
-                if let Some(x2d) = info.maxx_unfinished {
-                    acc.note_unfinished_candidate(nd.ids_by_b[x2d as usize]);
-                }
-            }
-            return;
-        }
-        let mid = (nd.lo + nd.hi) / 2;
-        self.query_rec(idx + 1, qa, qb, qc, acc);
-        if qa > mid {
-            self.query_rec(idx + 1 + nd.lsize as usize, qa, qb, qc, acc);
-        }
-    }
-
-    fn decompose(&self, idx: usize, qa: u32, qb: u32, qc: u32, pieces: &mut Vec<Piece>) {
-        let nd = &self.nodes[idx];
-        if qa <= nd.lo {
-            return;
-        }
-        if nd.is_leaf() {
-            for s in nd.lo..nd.hi.min(qa) {
-                let id = self.id_of_a[s as usize];
-                if self.b_of_id[id as usize] < qb
-                    && self.c_of_id[id as usize] < qc
-                    && !self.finished[id as usize]
-                {
-                    pieces.push(Piece {
-                        cnt: 1,
-                        kind: PieceKind::LeafPoint(id),
-                    });
-                }
-            }
-            return;
-        }
-        if qa >= nd.hi {
-            let qx = nd.bs.partition_point(|&x| x < qb) as u32;
-            let qy = nd.cs.partition_point(|&x| x < qc) as u32;
-            if qx > 0 && qy > 0 {
-                let info = nd.tree.as_ref().expect("internal").query_prefix(qx, qy);
-                if info.unfinished > 0 {
-                    pieces.push(Piece {
-                        cnt: info.unfinished,
-                        kind: PieceKind::NodeBox {
-                            node: idx as u32,
-                            qx,
-                            qy,
-                        },
-                    });
-                }
-            }
-            return;
-        }
-        let mid = (nd.lo + nd.hi) / 2;
-        self.decompose(idx + 1, qa, qb, qc, pieces);
-        if qa > mid {
-            self.decompose(idx + 1 + nd.lsize as usize, qa, qb, qc, pieces);
-        }
-    }
-}
-
-/// Query accumulator. `max_id_unfinished` holds a *representative*
-/// unfinished point (exact max id within leaf pieces, a per-piece
-/// representative for internal pieces) — callers use it as an
-/// existence witness / heuristic pivot, never for max-id semantics.
-#[derive(Default)]
-struct Acc {
-    unfinished: u32,
-    max_dp: Option<u32>,
-    max_id_unfinished: Option<u32>,
-}
-
-impl Acc {
-    fn add_point(&mut self, id: u32, finished: bool, dp: u32) {
-        if finished {
-            self.max_dp = Some(self.max_dp.map_or(dp, |m| m.max(dp)));
+            acc.unfinished - before
+        } else if q[0] >= nd.hi {
+            piece.qx = nd.bs.partition_point(|&x| x < q[1]) as u32;
+            piece.qy = nd.cs.partition_point(|&x| x < q[2]) as u32;
+            let tree = nd.tree.as_ref().expect("internal");
+            let info = tree.query_prefix(piece.qx, piece.qy);
+            acc.add_info(info, |x2d| nd.ids_by_b[x2d as usize]);
+            info.unfinished
         } else {
-            self.unfinished += 1;
-            self.note_unfinished_candidate(id);
+            let mid = (nd.lo + nd.hi) / 2;
+            self.walk_rec(idx + 1, q, acc, pieces);
+            if q[0] > mid {
+                self.walk_rec(idx + 1 + nd.lsize as usize, q, acc, pieces);
+            }
+            return;
+        };
+        if let Some(p) = pieces {
+            p.push(cnt, piece);
         }
     }
-    fn note_unfinished_candidate(&mut self, id: u32) {
-        self.max_id_unfinished = Some(self.max_id_unfinished.map_or(id, |m| m.max(id)));
+
+    /// The pivot among `acc.unfinished > 0` unfinished points of a walk.
+    fn pick(&self, acc: &Acc, pieces: &Pieces<Piece>, q: [u32; 3], rng: &mut Rng) -> u32 {
+        match self.mode {
+            PivotMode::RightMost => acc.rep_unfinished.expect("counted unfinished"),
+            PivotMode::Random => {
+                let (piece, t) = pieces.draw(acc.unfinished, rng);
+                let nd = &self.nodes[piece.node as usize];
+                match &nd.tree {
+                    None => (nd.lo..nd.hi.min(q[0]))
+                        .map(|s| self.id_of_a[s as usize])
+                        .filter(|&id| self.in_bc(id, q) && !self.finished[id as usize])
+                        .nth(t as usize),
+                    Some(tree) => tree
+                        .select_pivot(piece.qx, piece.qy, rng)
+                        .map(|x2d| nd.ids_by_b[x2d as usize]),
+                }
+                .expect("counted unfinished")
+            }
+        }
     }
 }
 
+/// A covering piece of a prefix walk: a leaf bucket (scanned on a
+/// draw), or an internal node with the box's local 2D bounds.
+#[derive(Clone, Copy, Default)]
 struct Piece {
-    cnt: u32,
-    kind: PieceKind,
-}
-
-enum PieceKind {
-    LeafPoint(u32),
-    NodeBox { node: u32, qx: u32, qy: u32 },
+    node: u32,
+    qx: u32,
+    qy: u32,
 }
 
 fn build(
@@ -420,10 +381,25 @@ mod tests {
                 let (cnt, max_dp, unfin) = oracle.query(qa, qb, qc);
                 assert_eq!(info.unfinished, cnt);
                 assert_eq!(info.max_dp, max_dp);
-                let pivot = tree.select_pivot(qa, qb, qc, &mut rng);
+                let draw_seed = rng.next_u64();
+                let pivot = tree.select_pivot(qa, qb, qc, &mut Rng::new(draw_seed));
                 match pivot {
                     None => assert!(unfin.is_empty()),
                     Some(p) => assert!(unfin.contains(&p), "pivot {p} not in region"),
+                }
+                // `probe` is `query_prefix` + `select_pivot` in one walk,
+                // drawing from a generator it creates only when blocked.
+                let calls = std::cell::Cell::new(0);
+                let got = tree.probe(qa, qb, qc, || {
+                    calls.set(calls.get() + 1);
+                    Rng::new(draw_seed)
+                });
+                if cnt == 0 {
+                    assert_eq!(got, Ok(max_dp));
+                    assert_eq!(calls.get(), 0);
+                } else {
+                    assert_eq!(got, Err(pivot.unwrap()));
+                    assert_eq!(calls.get(), 1);
                 }
             }
             let take = (rng.range(remaining.len() as u64) + 1) as usize;
