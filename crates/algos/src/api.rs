@@ -48,58 +48,35 @@ impl SsspInstance {
         Self { graph, source }
     }
 
-    /// The source a given query runs from: the query's override or
-    /// this instance's default.
+    /// The source a given query runs from: the query's
+    /// [`RunConfig::source`] override, or this instance's default.
+    /// Panics when that vertex is out of range.
     pub fn source_for(&self, cfg: &RunConfig) -> u32 {
-        cfg.source.unwrap_or(self.source)
+        let s = cfg.source.unwrap_or(self.source);
+        let n = self.graph.num_vertices();
+        assert!((s as usize) < n, "query source {s} out of range ({n})");
+        s
     }
 }
 
-/// Shared prepare/query boilerplate for the SSSP family: every member
+/// Shared prepare boilerplate for the SSSP family: every member
 /// amortizes the same [`sssp::PreparedSssp`] (w*, per-vertex minimum
 /// out-weights) and differs only in how a query runs against it.
 macro_rules! impl_sssp_prepare {
     () => {
-        type Prepared<'i>
-            = sssp::PreparedSssp<'i>
-        where
-            Self: 'i,
-            Self::Input: 'i;
+        type Prepared = sssp::PreparedSssp;
 
-        fn prepare<'i>(&self, input: &'i SsspInstance) -> sssp::PreparedSssp<'i> {
-            sssp::PreparedSssp::new(&input.graph, input.source)
+        fn prepare(&self, input: &SsspInstance) -> sssp::PreparedSssp {
+            sssp::PreparedSssp::new(&input.graph)
         }
     };
 }
 
-/// A prepared greedy-MIS instance: the borrowed input plus the CSR
-/// mirrors (reverse-arc slots, blocking ranks, TAS-tree leaf counts)
-/// that Algorithm 4 walks — built once, queried per run.
-pub struct PreparedMis<'i> {
-    pub instance: &'i GraphPriorityInstance,
-    pub mirrors: mis::BlockingMirrors,
-}
-
-/// A prepared coloring instance: the borrowed input plus the TAS-tree
-/// leaf counts (blocking-neighbor counts).
-pub struct PreparedColoring<'i> {
-    pub instance: &'i GraphPriorityInstance,
-    pub counts: Vec<u32>,
-}
-
-/// A prepared matching instance: the borrowed input plus the canonical
-/// undirected edge list.
-pub struct PreparedMatching<'i> {
-    pub instance: &'i GraphPriorityInstance,
-    pub edges: Vec<(u32, u32)>,
-}
-
-/// A prepared reservations-matching instance: additionally carries the
-/// priority-sorted iterate order the speculative-for baseline consumes
-/// (the round-synchronous [`Matching`] never needs it, so it lives in a
-/// separate type rather than being computed and thrown away).
-pub struct PreparedMatchingReservations<'i> {
-    pub instance: &'i GraphPriorityInstance,
+/// A prepared reservations-matching instance: the canonical undirected
+/// edge list plus the priority-sorted iterate order the speculative-for
+/// baseline consumes (the round-synchronous [`Matching`] needs only the
+/// edge list, so it prepares just that).
+pub struct PreparedMatchingReservations {
     pub edges: Vec<(u32, u32)>,
     pub order: Vec<u32>,
 }
@@ -124,7 +101,7 @@ pub struct Lis;
 impl PhaseAlgorithm for Lis {
     type Input = [i64];
     type Output = u32;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_nothing_to_prepare!();
     fn name(&self) -> &'static str {
         "lis"
     }
@@ -143,7 +120,7 @@ pub struct WeightedLis;
 impl PhaseAlgorithm for WeightedLis {
     type Input = (Vec<i64>, Vec<u32>);
     type Output = u32;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_nothing_to_prepare!();
     fn name(&self) -> &'static str {
         "lis/weighted"
     }
@@ -163,7 +140,7 @@ pub struct ActivityType1;
 impl PhaseAlgorithm for ActivityType1 {
     type Input = [Activity];
     type Output = u64;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_nothing_to_prepare!();
     fn name(&self) -> &'static str {
         "activity/type1"
     }
@@ -171,7 +148,7 @@ impl PhaseAlgorithm for ActivityType1 {
         activity::max_weight_seq(input)
     }
     fn solve_par(&self, input: &[Activity], cfg: &RunConfig) -> Report<u64> {
-        activity::max_weight_type1_cancellable(input, cfg.cancel.as_ref())
+        activity::max_weight_type1(input, cfg)
     }
 }
 
@@ -181,7 +158,7 @@ pub struct ActivityType1Pam;
 impl PhaseAlgorithm for ActivityType1Pam {
     type Input = [Activity];
     type Output = u64;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_nothing_to_prepare!();
     fn name(&self) -> &'static str {
         "activity/type1-pam"
     }
@@ -189,7 +166,7 @@ impl PhaseAlgorithm for ActivityType1Pam {
         activity::max_weight_seq(input)
     }
     fn solve_par(&self, input: &[Activity], cfg: &RunConfig) -> Report<u64> {
-        activity::max_weight_type1_pam_cancellable(input, cfg.cancel.as_ref())
+        activity::max_weight_type1_pam(input, cfg)
     }
 }
 
@@ -199,7 +176,7 @@ pub struct ActivityType2;
 impl PhaseAlgorithm for ActivityType2 {
     type Input = [Activity];
     type Output = u64;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_nothing_to_prepare!();
     fn name(&self) -> &'static str {
         "activity/type2"
     }
@@ -207,7 +184,7 @@ impl PhaseAlgorithm for ActivityType2 {
         activity::max_weight_seq(input)
     }
     fn solve_par(&self, input: &[Activity], cfg: &RunConfig) -> Report<u64> {
-        activity::max_weight_type2_cancellable(input, cfg.cancel.as_ref())
+        activity::max_weight_type2(input, cfg)
     }
 }
 
@@ -218,7 +195,7 @@ pub struct UnweightedActivity;
 impl PhaseAlgorithm for UnweightedActivity {
     type Input = [Activity];
     type Output = u32;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_nothing_to_prepare!();
     fn name(&self) -> &'static str {
         "activity/unweighted"
     }
@@ -235,7 +212,7 @@ impl PhaseAlgorithm for UnweightedActivity {
         count
     }
     fn solve_par(&self, input: &[Activity], cfg: &RunConfig) -> Report<u32> {
-        activity::max_count_unweighted_cancellable(input, cfg.cancel.as_ref())
+        activity::max_count_unweighted(input, cfg)
     }
 }
 
@@ -245,7 +222,7 @@ pub struct Knapsack;
 impl PhaseAlgorithm for Knapsack {
     type Input = (Vec<Item>, u64);
     type Output = u64;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_nothing_to_prepare!();
     fn name(&self) -> &'static str {
         "knapsack"
     }
@@ -253,7 +230,7 @@ impl PhaseAlgorithm for Knapsack {
         knapsack::max_value_seq(items, *capacity)
     }
     fn solve_par(&self, (items, capacity): &Self::Input, cfg: &RunConfig) -> Report<u64> {
-        knapsack::max_value_par_cancellable(items, *capacity, cfg.cancel.as_ref())
+        knapsack::max_value_par(items, *capacity, cfg)
     }
 }
 
@@ -265,7 +242,7 @@ pub struct Huffman;
 impl PhaseAlgorithm for Huffman {
     type Input = [u64];
     type Output = u64;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_nothing_to_prepare!();
     fn name(&self) -> &'static str {
         "huffman"
     }
@@ -273,8 +250,7 @@ impl PhaseAlgorithm for Huffman {
         huffman::build_seq(freqs).weighted_path_length(freqs)
     }
     fn solve_par(&self, freqs: &[u64], cfg: &RunConfig) -> Report<u64> {
-        huffman::build_par_cancellable(freqs, cfg.cancel.as_ref())
-            .map(|t| t.weighted_path_length(freqs))
+        huffman::build_par(freqs, cfg).map(|t| t.weighted_path_length(freqs))
     }
 }
 
@@ -297,11 +273,12 @@ impl PhaseAlgorithm for DeltaSssp {
     }
     fn solve_prepared(
         &self,
-        prepared: &sssp::PreparedSssp<'_>,
+        input: &SsspInstance,
+        prepared: &sssp::PreparedSssp,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        sssp::delta_stepping_prepared(prepared, scratch, cfg)
+        sssp::delta_stepping_prepared(&input.graph, input.source_for(cfg), prepared, scratch, cfg)
     }
 }
 
@@ -323,11 +300,12 @@ impl PhaseAlgorithm for RhoSssp {
     }
     fn solve_prepared(
         &self,
-        prepared: &sssp::PreparedSssp<'_>,
+        input: &SsspInstance,
+        _prepared: &sssp::PreparedSssp,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        sssp::rho_stepping_prepared(prepared, scratch, cfg)
+        sssp::rho_stepping_prepared(&input.graph, input.source_for(cfg), scratch, cfg)
     }
 }
 
@@ -345,15 +323,16 @@ impl PhaseAlgorithm for CrauserSssp {
         sssp::dijkstra(&input.graph, input.source)
     }
     fn solve_par(&self, input: &SsspInstance, cfg: &RunConfig) -> Report<Vec<u64>> {
-        sssp::crauser_out_with(&input.graph, input.source_for(cfg), cfg)
+        sssp::crauser_out(&input.graph, input.source_for(cfg), cfg)
     }
     fn solve_prepared(
         &self,
-        prepared: &sssp::PreparedSssp<'_>,
+        input: &SsspInstance,
+        prepared: &sssp::PreparedSssp,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        sssp::crauser_out_prepared(prepared, scratch, cfg)
+        sssp::crauser_out_prepared(&input.graph, input.source_for(cfg), prepared, scratch, cfg)
     }
 }
 
@@ -371,15 +350,16 @@ impl PhaseAlgorithm for PamSssp {
         sssp::dijkstra(&input.graph, input.source)
     }
     fn solve_par(&self, input: &SsspInstance, cfg: &RunConfig) -> Report<Vec<u64>> {
-        sssp::sssp_pam_with(&input.graph, input.source_for(cfg), cfg.cancel.as_ref())
+        sssp::sssp_pam(&input.graph, input.source_for(cfg), cfg)
     }
     fn solve_prepared(
         &self,
-        prepared: &sssp::PreparedSssp<'_>,
-        scratch: &mut Scratch,
+        input: &SsspInstance,
+        prepared: &sssp::PreparedSssp,
+        _scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        sssp::sssp_pam_prepared(prepared, scratch, cfg)
+        sssp::sssp_pam_prepared(&input.graph, input.source_for(cfg), prepared, cfg)
     }
 }
 
@@ -397,15 +377,16 @@ impl PhaseAlgorithm for BellmanFordSssp {
         sssp::dijkstra(&input.graph, input.source)
     }
     fn solve_par(&self, input: &SsspInstance, cfg: &RunConfig) -> Report<Vec<u64>> {
-        sssp::bellman_ford_with(&input.graph, input.source_for(cfg), cfg)
+        sssp::bellman_ford(&input.graph, input.source_for(cfg), cfg)
     }
     fn solve_prepared(
         &self,
-        prepared: &sssp::PreparedSssp<'_>,
+        input: &SsspInstance,
+        _prepared: &sssp::PreparedSssp,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        sssp::bellman_ford_prepared(prepared, scratch, cfg)
+        sssp::bellman_ford_prepared(&input.graph, input.source_for(cfg), scratch, cfg)
     }
 }
 
@@ -425,18 +406,21 @@ impl PhaseAlgorithm for DijkstraSssp {
         sssp::dijkstra(&input.graph, input.source)
     }
     fn solve_par(&self, input: &SsspInstance, cfg: &RunConfig) -> Report<Vec<u64>> {
-        let (dist, outcome) =
-            sssp::dijkstra_cancellable(&input.graph, input.source_for(cfg), cfg.cancel.as_ref());
-        Report::plain(dist).with_outcome(outcome)
+        sssp::dijkstra_prepared(
+            &input.graph,
+            input.source_for(cfg),
+            &mut Scratch::new(),
+            cfg,
+        )
     }
     fn solve_prepared(
         &self,
-        prepared: &sssp::PreparedSssp<'_>,
+        input: &SsspInstance,
+        _prepared: &sssp::PreparedSssp,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u64>> {
-        let (dist, outcome) = sssp::dijkstra_prepared(prepared, scratch, cfg);
-        Report::plain(dist).with_outcome(outcome)
+        sssp::dijkstra_prepared(&input.graph, input.source_for(cfg), scratch, cfg)
     }
 }
 
@@ -446,11 +430,9 @@ pub struct GreedyMis;
 impl PhaseAlgorithm for GreedyMis {
     type Input = GraphPriorityInstance;
     type Output = Vec<bool>;
-    type Prepared<'i>
-        = PreparedMis<'i>
-    where
-        Self: 'i,
-        Self::Input: 'i;
+    /// The CSR mirrors (reverse-arc slots, blocking ranks, TAS-tree leaf
+    /// counts) that Algorithm 4 walks — built once, queried per run.
+    type Prepared = mis::BlockingMirrors;
 
     fn name(&self) -> &'static str {
         "mis/tas"
@@ -459,37 +441,19 @@ impl PhaseAlgorithm for GreedyMis {
         mis::mis_seq(&input.graph, &input.priority)
     }
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<bool>> {
-        let mirrors = mis::blocking_mirrors(&input.graph, &input.priority);
-        let (out, outcome) = mis::mis_tas_prepared_cancellable(
-            &input.graph,
-            &input.priority,
-            &mirrors,
-            &mut Scratch::new(),
-            cfg.cancel.as_ref(),
-        );
-        Report::plain(out).with_outcome(outcome)
+        self.solve_prepared(input, &self.prepare(input), &mut Scratch::new(), cfg)
     }
-    fn prepare<'i>(&self, input: &'i GraphPriorityInstance) -> PreparedMis<'i> {
-        PreparedMis {
-            instance: input,
-            mirrors: mis::blocking_mirrors(&input.graph, &input.priority),
-        }
+    fn prepare(&self, input: &GraphPriorityInstance) -> mis::BlockingMirrors {
+        mis::blocking_mirrors(&input.graph, &input.priority)
     }
     fn solve_prepared(
         &self,
-        prepared: &PreparedMis<'_>,
+        input: &GraphPriorityInstance,
+        mirrors: &mis::BlockingMirrors,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<bool>> {
-        let inst = prepared.instance;
-        let (out, outcome) = mis::mis_tas_prepared_cancellable(
-            &inst.graph,
-            &inst.priority,
-            &prepared.mirrors,
-            scratch,
-            cfg.cancel.as_ref(),
-        );
-        Report::plain(out).with_outcome(outcome)
+        mis::mis_tas_prepared(&input.graph, &input.priority, mirrors, scratch, cfg)
     }
 }
 
@@ -500,7 +464,7 @@ pub struct RoundsMis;
 impl PhaseAlgorithm for RoundsMis {
     type Input = GraphPriorityInstance;
     type Output = Vec<bool>;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_nothing_to_prepare!();
     fn name(&self) -> &'static str {
         "mis/rounds"
     }
@@ -508,7 +472,7 @@ impl PhaseAlgorithm for RoundsMis {
         mis::mis_seq(&input.graph, &input.priority)
     }
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<bool>> {
-        mis::mis_rounds_cancellable(&input.graph, &input.priority, cfg.cancel.as_ref())
+        mis::mis_rounds(&input.graph, &input.priority, cfg)
     }
 }
 
@@ -518,11 +482,8 @@ pub struct Coloring;
 impl PhaseAlgorithm for Coloring {
     type Input = GraphPriorityInstance;
     type Output = Vec<u32>;
-    type Prepared<'i>
-        = PreparedColoring<'i>
-    where
-        Self: 'i,
-        Self::Input: 'i;
+    /// The TAS-tree leaf counts (blocking-neighbor counts).
+    type Prepared = Vec<u32>;
 
     fn name(&self) -> &'static str {
         "coloring"
@@ -531,37 +492,19 @@ impl PhaseAlgorithm for Coloring {
         coloring_seq(&input.graph, &input.priority)
     }
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<u32>> {
-        let counts = crate::coloring::blocking_counts(&input.graph, &input.priority);
-        let (out, outcome) = crate::coloring::coloring_par_prepared_cancellable(
-            &input.graph,
-            &input.priority,
-            &counts,
-            &mut Scratch::new(),
-            cfg.cancel.as_ref(),
-        );
-        Report::plain(out).with_outcome(outcome)
+        self.solve_prepared(input, &self.prepare(input), &mut Scratch::new(), cfg)
     }
-    fn prepare<'i>(&self, input: &'i GraphPriorityInstance) -> PreparedColoring<'i> {
-        PreparedColoring {
-            instance: input,
-            counts: crate::coloring::blocking_counts(&input.graph, &input.priority),
-        }
+    fn prepare(&self, input: &GraphPriorityInstance) -> Vec<u32> {
+        crate::coloring::blocking_counts(&input.graph, &input.priority)
     }
     fn solve_prepared(
         &self,
-        prepared: &PreparedColoring<'_>,
+        input: &GraphPriorityInstance,
+        counts: &Vec<u32>,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<u32>> {
-        let inst = prepared.instance;
-        let (out, outcome) = crate::coloring::coloring_par_prepared_cancellable(
-            &inst.graph,
-            &inst.priority,
-            &prepared.counts,
-            scratch,
-            cfg.cancel.as_ref(),
-        );
-        Report::plain(out).with_outcome(outcome)
+        crate::coloring::coloring_par_prepared(&input.graph, &input.priority, counts, scratch, cfg)
     }
 }
 
@@ -572,11 +515,8 @@ pub struct Matching;
 impl PhaseAlgorithm for Matching {
     type Input = GraphPriorityInstance;
     type Output = Vec<bool>;
-    type Prepared<'i>
-        = PreparedMatching<'i>
-    where
-        Self: 'i,
-        Self::Input: 'i;
+    /// The canonical undirected edge list.
+    type Prepared = Vec<(u32, u32)>;
 
     fn name(&self) -> &'static str {
         "matching"
@@ -585,34 +525,19 @@ impl PhaseAlgorithm for Matching {
         matching::matching_seq(&input.graph, &input.priority)
     }
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<bool>> {
-        matching::matching_par_prepared_cancellable(
-            &input.graph,
-            &input.priority,
-            &matching::edge_list(&input.graph),
-            &mut Scratch::new(),
-            cfg.cancel.as_ref(),
-        )
+        self.solve_prepared(input, &self.prepare(input), &mut Scratch::new(), cfg)
     }
-    fn prepare<'i>(&self, input: &'i GraphPriorityInstance) -> PreparedMatching<'i> {
-        PreparedMatching {
-            instance: input,
-            edges: matching::edge_list(&input.graph),
-        }
+    fn prepare(&self, input: &GraphPriorityInstance) -> Vec<(u32, u32)> {
+        matching::edge_list(&input.graph)
     }
     fn solve_prepared(
         &self,
-        prepared: &PreparedMatching<'_>,
+        input: &GraphPriorityInstance,
+        edges: &Vec<(u32, u32)>,
         scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<bool>> {
-        let inst = prepared.instance;
-        matching::matching_par_prepared_cancellable(
-            &inst.graph,
-            &inst.priority,
-            &prepared.edges,
-            scratch,
-            cfg.cancel.as_ref(),
-        )
+        matching::matching_par_prepared(&input.graph, &input.priority, edges, scratch, cfg)
     }
 }
 
@@ -623,11 +548,7 @@ pub struct MatchingReservations;
 impl PhaseAlgorithm for MatchingReservations {
     type Input = GraphPriorityInstance;
     type Output = Vec<bool>;
-    type Prepared<'i>
-        = PreparedMatchingReservations<'i>
-    where
-        Self: 'i,
-        Self::Input: 'i;
+    type Prepared = PreparedMatchingReservations;
 
     fn name(&self) -> &'static str {
         "matching/reservations"
@@ -636,34 +557,27 @@ impl PhaseAlgorithm for MatchingReservations {
         matching::matching_seq(&input.graph, &input.priority)
     }
     fn solve_par(&self, input: &GraphPriorityInstance, cfg: &RunConfig) -> Report<Vec<bool>> {
-        matching::matching_reservations_prepared_cancellable(
-            &input.graph,
-            &input.priority,
-            &matching::edge_list(&input.graph),
-            &matching::priority_order(&input.priority),
-            cfg.cancel.as_ref(),
-        )
+        self.solve_prepared(input, &self.prepare(input), &mut Scratch::new(), cfg)
     }
-    fn prepare<'i>(&self, input: &'i GraphPriorityInstance) -> PreparedMatchingReservations<'i> {
+    fn prepare(&self, input: &GraphPriorityInstance) -> PreparedMatchingReservations {
         PreparedMatchingReservations {
-            instance: input,
             edges: matching::edge_list(&input.graph),
             order: matching::priority_order(&input.priority),
         }
     }
     fn solve_prepared(
         &self,
-        prepared: &PreparedMatchingReservations<'_>,
+        input: &GraphPriorityInstance,
+        prepared: &PreparedMatchingReservations,
         _scratch: &mut Scratch,
         cfg: &RunConfig,
     ) -> Report<Vec<bool>> {
-        let inst = prepared.instance;
-        matching::matching_reservations_prepared_cancellable(
-            &inst.graph,
-            &inst.priority,
+        matching::matching_reservations_prepared(
+            &input.graph,
+            &input.priority,
             &prepared.edges,
             &prepared.order,
-            cfg.cancel.as_ref(),
+            cfg,
         )
     }
 }
@@ -674,7 +588,7 @@ pub struct Whac;
 impl PhaseAlgorithm for Whac {
     type Input = [Mole];
     type Output = u32;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_nothing_to_prepare!();
     fn name(&self) -> &'static str {
         "whac"
     }
@@ -692,7 +606,7 @@ pub struct Whac2d;
 impl PhaseAlgorithm for Whac2d {
     type Input = [Mole2d];
     type Output = u32;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_nothing_to_prepare!();
     fn name(&self) -> &'static str {
         "whac/2d"
     }
@@ -710,7 +624,7 @@ pub struct Chain3d;
 impl PhaseAlgorithm for Chain3d {
     type Input = [Point3];
     type Output = u32;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_nothing_to_prepare!();
     fn name(&self) -> &'static str {
         "chain3d"
     }
@@ -728,7 +642,7 @@ pub struct Chain4d;
 impl PhaseAlgorithm for Chain4d {
     type Input = [Point4];
     type Output = u32;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_nothing_to_prepare!();
     fn name(&self) -> &'static str {
         "chain4d"
     }
@@ -748,7 +662,7 @@ pub struct RandomPerm;
 impl PhaseAlgorithm for RandomPerm {
     type Input = (usize, u64);
     type Output = Vec<u32>;
-    phase_parallel::impl_prepared_by_borrow!();
+    phase_parallel::impl_nothing_to_prepare!();
     fn name(&self) -> &'static str {
         "random-perm"
     }

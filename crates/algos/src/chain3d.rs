@@ -18,8 +18,7 @@
 
 use crate::lis::PivotDraws;
 use phase_parallel::{
-    probe_all, run_type2_cancellable, Initial, PivotMode, Report, RunConfig, Type2Problem,
-    WakeResult,
+    probe_all, run_type2, Initial, PivotMode, Report, RunConfig, Type2Problem, WakeResult,
 };
 use pp_ranges::RangeTree3d;
 use rayon::prelude::*;
@@ -188,7 +187,7 @@ pub fn chain3d_par(pts: &[Point3], cfg: &RunConfig) -> Report<u32> {
         }
     }
 
-    let ((_, best), stats, outcome) = run_type2_cancellable(
+    let ((_, best), stats, outcome) = run_type2(
         Problem {
             tree,
             qa: a_bound,

@@ -15,8 +15,7 @@
 use crate::chain3d::slots;
 use crate::lis::PivotDraws;
 use phase_parallel::{
-    probe_all, run_type2_cancellable, Initial, PivotMode, Report, RunConfig, Type2Problem,
-    WakeResult,
+    probe_all, run_type2, Initial, PivotMode, Report, RunConfig, Type2Problem, WakeResult,
 };
 use pp_ranges::{RangeTree3d, RangeTree4d};
 
@@ -170,7 +169,7 @@ pub fn chain4d_par(pts: &[Point4], cfg: &RunConfig) -> Report<u32> {
         }
     }
 
-    let ((_, best), stats, outcome) = run_type2_cancellable(
+    let ((_, best), stats, outcome) = run_type2(
         Problem {
             tree,
             qa: a_bound,

@@ -11,7 +11,7 @@
 //! Both implementations produce the *identical* coloring (a function of
 //! the priorities alone).
 
-use phase_parallel::{CancelToken, RunOutcome, Scratch, TasForest};
+use phase_parallel::{CancelToken, Report, RunConfig, RunOutcome, Scratch, TasForest};
 use pp_graph::Graph;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -67,34 +67,28 @@ pub fn coloring_par(g: &Graph, priority: &[u32]) -> Vec<u32> {
         priority,
         &blocking_counts(g, priority),
         &mut Scratch::new(),
+        &RunConfig::new(),
     )
+    .output
 }
 
 /// The query half of [`coloring_par`]: run the coloring cascades
 /// against prebuilt [`blocking_counts`], drawing the color array from
 /// `scratch`. Same output as [`coloring_par`] (and [`coloring_seq`]).
+///
+/// Like the MIS cascades, the query's [`RunConfig::cancel`] token is
+/// polled at *cascade-level* granularity: each cascade checks it between
+/// levels and abandons its remaining frontier on a trip. Uncolored
+/// vertices keep the `u32::MAX` sentinel and the run is tagged
+/// [`RunOutcome::DeadlineExceeded`]; an untripped token leaves the
+/// output byte-identical to the plain run.
 pub fn coloring_par_prepared(
     g: &Graph,
     priority: &[u32],
     counts: &[u32],
     scratch: &mut Scratch,
-) -> Vec<u32> {
-    coloring_par_prepared_cancellable(g, priority, counts, scratch, None).0
-}
-
-/// [`coloring_par_prepared`] under an optional deadline. Like the MIS
-/// cascades, the poll sits at *cascade-level* granularity: each cascade
-/// checks the token between levels and abandons its remaining frontier
-/// on a trip. Uncolored vertices keep the `u32::MAX` sentinel and the
-/// run is tagged [`RunOutcome::DeadlineExceeded`]; an untripped token
-/// leaves the output byte-identical to the plain run.
-pub fn coloring_par_prepared_cancellable(
-    g: &Graph,
-    priority: &[u32],
-    counts: &[u32],
-    scratch: &mut Scratch,
-    cancel: Option<&CancelToken>,
-) -> (Vec<u32>, RunOutcome) {
+    cfg: &RunConfig,
+) -> Report<Vec<u32>> {
     let n = g.num_vertices();
     assert_eq!(priority.len(), n);
     assert_eq!(counts.len(), n, "counts built for another graph");
@@ -191,7 +185,7 @@ pub fn coloring_par_prepared_cancellable(
         priority,
         forest,
         color: &color,
-        cancel,
+        cancel: cfg.cancel.as_ref(),
         tripped: AtomicBool::new(false),
     };
     (0..n as u32).into_par_iter().for_each(|v| {
@@ -206,7 +200,7 @@ pub fn coloring_par_prepared_cancellable(
     };
     let out = color.iter().map(|c| c.load(Ordering::Relaxed)).collect();
     scratch.put_vec("coloring_color", color);
-    (out, outcome)
+    Report::plain(out).with_outcome(outcome)
 }
 
 /// Check that `color` is a proper coloring of `g`.

@@ -12,7 +12,7 @@
 //! object to wait on. The wait lists themselves are the engine's
 //! `T_pivot` (see `phase_parallel::type2`).
 
-use phase_parallel::{run_type2_cancellable, Initial, Report, RunConfig, Type2Problem, WakeResult};
+use phase_parallel::{run_type2, Initial, Report, RunConfig, Type2Problem, WakeResult};
 use pp_parlay::rng::{hash64, Rng};
 use pp_ranges::RangeTree2d;
 use rayon::prelude::*;
@@ -165,7 +165,7 @@ fn lis_engine(values: &[i64], weights: Option<&[u32]>, cfg: &RunConfig) -> Repor
         draws: PivotDraws::new(seed, n + 1),
         n,
     };
-    let ((dp_all, length), stats, outcome) = run_type2_cancellable(problem, cfg.cancel.as_ref());
+    let ((dp_all, length), stats, outcome) = run_type2(problem, cfg.cancel.as_ref());
     let dp_real: Vec<u32> = dp_all[1..].to_vec();
     Report::new((length, dp_real), stats).with_outcome(outcome)
 }

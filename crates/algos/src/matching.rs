@@ -11,9 +11,7 @@
 //! mutually non-adjacent by construction — then discards edges with a
 //! newly matched endpoint.
 
-use phase_parallel::{
-    deadline_tripped, CancelToken, ExecutionStats, Frontier, Report, RunOutcome, Scratch,
-};
+use phase_parallel::{ExecutionStats, Frontier, Report, RunConfig, RunOutcome, Scratch};
 use pp_graph::Graph;
 use pp_parlay::shuffle::random_permutation;
 use rayon::prelude::*;
@@ -60,7 +58,13 @@ pub fn matching_seq(g: &Graph, priority: &[u32]) -> Vec<bool> {
 /// Fischer–Noever), with per-round matched-edge counts in
 /// `frontier_sizes`.
 pub fn matching_par(g: &Graph, priority: &[u32]) -> Report<Vec<bool>> {
-    matching_par_prepared(g, priority, &edge_list(g), &mut Scratch::new())
+    matching_par_prepared(
+        g,
+        priority,
+        &edge_list(g),
+        &mut Scratch::new(),
+        &RunConfig::new(),
+    )
 }
 
 /// The query half of [`matching_par`]: run the rounds against a
@@ -69,25 +73,17 @@ pub fn matching_par(g: &Graph, priority: &[u32]) -> Report<Vec<bool>> {
 /// edge set runs on the [`Frontier`] engine over edge indices (dense
 /// bitmap while most edges are live, sparse list for the tail). Same
 /// output as [`matching_par`] (and [`matching_seq`]).
+///
+/// The round loop polls the query's [`RunConfig::cancel`] token at its
+/// top; a trip leaves the remaining live edges unmatched under
+/// `RunOutcome::DeadlineExceeded` (the partial mask is a valid — not
+/// maximal — matching).
 pub fn matching_par_prepared(
     g: &Graph,
     priority: &[u32],
     edges: &[(u32, u32)],
     scratch: &mut Scratch,
-) -> Report<Vec<bool>> {
-    matching_par_prepared_cancellable(g, priority, edges, scratch, None)
-}
-
-/// [`matching_par_prepared`] under an optional deadline: the round loop
-/// polls `cancel` at its top; a trip leaves the remaining live edges
-/// unmatched under `RunOutcome::DeadlineExceeded` (the partial mask is
-/// a valid — not maximal — matching).
-pub fn matching_par_prepared_cancellable(
-    g: &Graph,
-    priority: &[u32],
-    edges: &[(u32, u32)],
-    scratch: &mut Scratch,
-    cancel: Option<&CancelToken>,
+    cfg: &RunConfig,
 ) -> Report<Vec<bool>> {
     assert_eq!(priority.len(), edges.len());
     let n = g.num_vertices();
@@ -105,7 +101,7 @@ pub fn matching_par_prepared_cancellable(
     let mut min_pri = scratch.take_vec::<AtomicU32>("matching_min_pri");
     min_pri.resize_with(n, || AtomicU32::new(NONE));
     while !live.is_empty() {
-        if deadline_tripped(cancel) {
+        if cfg.is_cancelled() {
             outcome = RunOutcome::DeadlineExceeded;
             break;
         }
@@ -178,7 +174,13 @@ pub fn matching_par_prepared_cancellable(
 /// (`attempts / m`).
 pub fn matching_reservations(g: &Graph, priority: &[u32]) -> Report<Vec<bool>> {
     let edges = edge_list(g);
-    matching_reservations_prepared(g, priority, &edges, &priority_order(priority))
+    matching_reservations_prepared(
+        g,
+        priority,
+        &edges,
+        &priority_order(priority),
+        &RunConfig::new(),
+    )
 }
 
 /// Edge indices sorted by priority — the iterate order of the
@@ -192,27 +194,17 @@ pub fn priority_order(priority: &[u32]) -> Vec<u32> {
 
 /// The query half of [`matching_reservations`]: speculative-for over a
 /// prebuilt [`edge_list`] and [`priority_order`]. Same output as
-/// [`matching_seq`].
+/// [`matching_seq`]. The speculative-for round loop polls the query's
+/// [`RunConfig::cancel`] token; a trip abandons the uncommitted iterates
+/// under `RunOutcome::DeadlineExceeded`.
 pub fn matching_reservations_prepared(
     g: &Graph,
     priority: &[u32],
     edges: &[(u32, u32)],
     order: &[u32],
+    cfg: &RunConfig,
 ) -> Report<Vec<bool>> {
-    matching_reservations_prepared_cancellable(g, priority, edges, order, None)
-}
-
-/// [`matching_reservations_prepared`] under an optional deadline: the
-/// speculative-for round loop polls `cancel`; a trip abandons the
-/// uncommitted iterates under `RunOutcome::DeadlineExceeded`.
-pub fn matching_reservations_prepared_cancellable(
-    g: &Graph,
-    priority: &[u32],
-    edges: &[(u32, u32)],
-    order: &[u32],
-    cancel: Option<&CancelToken>,
-) -> Report<Vec<bool>> {
-    use phase_parallel::{speculative_for_cancellable, ReservationProblem, ReservationTable};
+    use phase_parallel::{speculative_for, ReservationProblem, ReservationTable};
     use std::sync::atomic::AtomicBool;
 
     assert_eq!(priority.len(), edges.len());
@@ -265,7 +257,7 @@ pub fn matching_reservations_prepared_cancellable(
         in_matching: (0..edges.len()).map(|_| AtomicBool::new(false)).collect(),
     };
     let table = ReservationTable::new(g.num_vertices());
-    let (spec, outcome) = speculative_for_cancellable(&p, &table, 0, cancel);
+    let (spec, outcome) = speculative_for(&p, &table, 0, cfg.cancel.as_ref());
     let mask = p
         .in_matching
         .into_iter()

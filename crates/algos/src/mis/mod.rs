@@ -23,11 +23,9 @@ mod seq;
 mod tas;
 
 pub use luby::mis_luby;
-pub use rounds::{mis_rounds, mis_rounds_cancellable};
+pub use rounds::mis_rounds;
 pub use seq::mis_seq;
-pub use tas::{
-    blocking_mirrors, mis_tas, mis_tas_prepared, mis_tas_prepared_cancellable, BlockingMirrors,
-};
+pub use tas::{blocking_mirrors, mis_tas, mis_tas_prepared, BlockingMirrors};
 
 use pp_graph::Graph;
 
@@ -61,6 +59,7 @@ pub fn is_maximal_independent(g: &Graph, set: &[bool]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phase_parallel::RunConfig;
     use pp_graph::gen;
     use pp_parlay::shuffle::random_priorities;
 
@@ -68,7 +67,7 @@ mod tests {
         let pri = random_priorities(g.num_vertices(), seed);
         let a = mis_seq(g, &pri);
         let b = mis_tas(g, &pri);
-        let c = mis_rounds(g, &pri).output;
+        let c = mis_rounds(g, &pri, &RunConfig::new()).output;
         assert!(is_maximal_independent(g, &a), "seq not an MIS");
         assert_eq!(a, b, "tas differs from greedy");
         assert_eq!(a, c, "rounds differs from greedy");

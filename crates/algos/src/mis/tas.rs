@@ -13,7 +13,7 @@
 //! that impossible — see the argument in the module tests — but the CAS
 //! keeps the code robust under any interleaving).
 
-use phase_parallel::{CancelToken, RunOutcome, Scratch, TasForest};
+use phase_parallel::{CancelToken, Report, RunConfig, RunOutcome, Scratch, TasForest};
 use pp_graph::Graph;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
@@ -142,34 +142,28 @@ pub fn mis_tas(g: &Graph, priority: &[u32]) -> Vec<bool> {
         priority,
         &blocking_mirrors(g, priority),
         &mut Scratch::new(),
+        &RunConfig::new(),
     )
+    .output
 }
 
 /// The query half of [`mis_tas`]: run the wake cascades against
 /// prebuilt [`BlockingMirrors`], drawing the status array from
 /// `scratch`. Same output as [`mis_tas`] (and [`super::mis_seq`]).
+///
+/// The algorithm has no rounds, so the query's [`RunConfig::cancel`]
+/// token is polled at *cascade-level* granularity: each cascade checks
+/// it between levels and abandons its remaining frontier on a trip. The
+/// partial selection is a valid independent set (never maximal) and is
+/// tagged [`RunOutcome::DeadlineExceeded`]; with an untripped token the
+/// output is byte-identical to the plain run.
 pub fn mis_tas_prepared(
     g: &Graph,
     priority: &[u32],
     mirrors: &BlockingMirrors,
     scratch: &mut Scratch,
-) -> Vec<bool> {
-    mis_tas_prepared_cancellable(g, priority, mirrors, scratch, None).0
-}
-
-/// [`mis_tas_prepared`] under an optional deadline. The algorithm has
-/// no rounds, so the poll sits at *cascade-level* granularity: each
-/// cascade checks the token between levels and abandons its remaining
-/// frontier on a trip. The partial selection is a valid independent set
-/// (never maximal) and is tagged [`RunOutcome::DeadlineExceeded`]; with
-/// an untripped token the output is byte-identical to the plain run.
-pub fn mis_tas_prepared_cancellable(
-    g: &Graph,
-    priority: &[u32],
-    mirrors: &BlockingMirrors,
-    scratch: &mut Scratch,
-    cancel: Option<&CancelToken>,
-) -> (Vec<bool>, RunOutcome) {
+    cfg: &RunConfig,
+) -> Report<Vec<bool>> {
     let n = g.num_vertices();
     assert_eq!(priority.len(), n);
     assert_eq!(mirrors.counts.len(), n, "mirrors built for another graph");
@@ -182,7 +176,7 @@ pub fn mis_tas_prepared_cancellable(
         status: &status,
         forest: TasForest::new(&mirrors.counts),
         mirrors,
-        cancel,
+        cancel: cfg.cancel.as_ref(),
         tripped: AtomicBool::new(false),
     };
 
@@ -203,7 +197,7 @@ pub fn mis_tas_prepared_cancellable(
         .map(|s| s.load(Ordering::Relaxed) == SELECTED)
         .collect();
     scratch.put_vec("mis_status", status);
-    (out, outcome)
+    Report::plain(out).with_outcome(outcome)
 }
 
 /// Select `v` and run the whole wake cascade it triggers (Algorithm 4's

@@ -584,7 +584,7 @@ where
             .iter()
             .map(|query| {
                 let one_shot = algo.solve_par(input, query);
-                let report = algo.solve_prepared(&prepared, &mut scratch, query);
+                let report = algo.solve_prepared(input, &prepared, &mut scratch, query);
                 CaseOutcome {
                     expected_digest: one_shot.output.digest(),
                     observed_digest: report.output.digest(),
@@ -607,10 +607,10 @@ where
         let prepared = algo.prepare(input);
         let mut scratch = Scratch::new();
         for _ in 0..2 {
-            algo.solve_prepared(&prepared, &mut scratch, cfg);
+            algo.solve_prepared(input, &prepared, &mut scratch, cfg);
         }
         let (takes, reuses) = (scratch.takes(), scratch.reuses());
-        algo.solve_prepared(&prepared, &mut scratch, cfg);
+        algo.solve_prepared(input, &prepared, &mut scratch, cfg);
         ScratchProbe {
             takes: scratch.takes() - takes,
             reuses: scratch.reuses() - reuses,

@@ -7,33 +7,21 @@
 //! representation adapts sparse↔dense as it grows and shrinks, and
 //! relaxation is split into edge-balanced packets.
 
-use super::{PreparedSssp, INF};
+use super::INF;
 use phase_parallel::{
-    CancelToken, ExecutionStats, Frontier, FrontierPolicy, Report, RunConfig, RunOutcome, Scratch,
+    deadline_tripped, CancelToken, ExecutionStats, Frontier, FrontierPolicy, Report, RunConfig,
+    RunOutcome, Scratch,
 };
 use pp_graph::{chunk, Graph};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shortest distances from `source` by round-synchronous relaxation.
-pub fn bellman_ford(g: &Graph, source: u32) -> Vec<u64> {
-    bellman_ford_core(
-        g,
-        source,
-        &mut Scratch::new(),
-        FrontierPolicy::Adaptive,
-        None,
-    )
-    .output
-}
-
-/// [`bellman_ford`] honoring the config's [`RunConfig::frontier`]
-/// representation pin and deadline — the one-shot entry point the
-/// registry drives, so differential sparse/dense testing and
-/// cancellation reach this family too. The report's `stats.rounds`
-/// counts relaxation rounds with per-round frontier sizes, and
-/// `"relaxations"` totals edge relaxations.
-pub fn bellman_ford_with(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>> {
+/// Shortest distances from `source` by round-synchronous relaxation,
+/// honoring the config's [`RunConfig::frontier`] representation pin
+/// and deadline. The report's `stats.rounds` counts relaxation rounds
+/// with per-round frontier sizes, and `"relaxations"` totals edge
+/// relaxations.
+pub fn bellman_ford(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>> {
     bellman_ford_core(
         g,
         source,
@@ -43,21 +31,17 @@ pub fn bellman_ford_with(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<
     )
 }
 
-/// Per-query prepared Bellman-Ford: source from [`RunConfig::source`],
-/// distance array and frontier engine recycled through `scratch`.
-/// Output is identical to [`bellman_ford`].
+/// Per-query prepared Bellman-Ford: distance array and frontier engine
+/// recycled through `scratch`. Output is identical to [`bellman_ford`].
+/// The family's prepared structure is not needed: Bellman-Ford reads
+/// neither w* nor the minimum out-weights.
 pub fn bellman_ford_prepared(
-    prepared: &PreparedSssp<'_>,
+    g: &Graph,
+    source: u32,
     scratch: &mut Scratch,
     cfg: &RunConfig,
 ) -> Report<Vec<u64>> {
-    bellman_ford_core(
-        prepared.graph,
-        prepared.source_for(cfg),
-        scratch,
-        cfg.frontier,
-        cfg.cancel.as_ref(),
-    )
+    bellman_ford_core(g, source, scratch, cfg.frontier, cfg.cancel.as_ref())
 }
 
 fn bellman_ford_core(
@@ -86,7 +70,7 @@ fn bellman_ford_core(
 
     while !frontier.is_empty() {
         // Cooperative cancellation, polled once per round.
-        if super::deadline_tripped(cancel) {
+        if deadline_tripped(cancel) {
             outcome = RunOutcome::DeadlineExceeded;
             break;
         }
@@ -163,7 +147,10 @@ mod tests {
         b.add_weighted(2, 3, 1);
         b.add_weighted(0, 3, 10);
         let g = b.build();
-        assert_eq!(bellman_ford(&g, 0), vec![0, 1, 2, 3]);
+        assert_eq!(
+            bellman_ford(&g, 0, &RunConfig::new()).output,
+            vec![0, 1, 2, 3]
+        );
     }
 
     #[test]
@@ -174,7 +161,10 @@ mod tests {
         let sparse = bellman_ford_core(&wg, 0, &mut scratch, FrontierPolicy::Sparse, None);
         let dense = bellman_ford_core(&wg, 0, &mut scratch, FrontierPolicy::Dense, None);
         assert_eq!(sparse.output, dense.output);
-        assert_eq!(sparse.output, bellman_ford(&wg, 0));
+        assert_eq!(
+            sparse.output,
+            bellman_ford(&wg, 0, &RunConfig::new()).output
+        );
     }
 
     #[test]
@@ -183,7 +173,7 @@ mod tests {
         let wg = pp_graph::gen::with_uniform_weights(&g, 1, 50, 5);
         let token = phase_parallel::CancelToken::new();
         token.cancel();
-        let report = bellman_ford_with(&wg, 0, &RunConfig::new().with_cancel_token(token));
+        let report = bellman_ford(&wg, 0, &RunConfig::new().with_cancel_token(token));
         assert_eq!(report.outcome, RunOutcome::DeadlineExceeded);
         // Only the source has a distance: the run stopped before round 1.
         assert_eq!(report.output[0], 0);

@@ -29,7 +29,8 @@
 
 use super::{PreparedSssp, INF};
 use phase_parallel::{
-    CancelToken, ExecutionStats, Frontier, FrontierPolicy, Report, RunConfig, RunOutcome, Scratch,
+    deadline_tripped, CancelToken, ExecutionStats, Frontier, FrontierPolicy, Report, RunConfig,
+    RunOutcome, Scratch,
 };
 use pp_graph::Graph;
 use rayon::prelude::*;
@@ -43,14 +44,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// rank, `stats.max_frontier()` the largest settled batch, and the
 /// `"relaxations"` counter the total edge relaxations (work-efficiency
 /// check: equals the number of edges out of reachable vertices).
-pub fn crauser_out(g: &Graph, source: u32) -> Report<Vec<u64>> {
-    crauser_out_with(g, source, &RunConfig::new())
-}
-
-/// [`crauser_out`] honoring the config's [`RunConfig::frontier`]
-/// representation pin — the one-shot entry point the registry drives,
-/// so differential sparse/dense testing reaches this family too.
-pub fn crauser_out_with(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>> {
+///
+/// Honors the config's [`RunConfig::frontier`] representation pin and
+/// deadline, so differential sparse/dense testing and cancellation
+/// reach this family too.
+pub fn crauser_out(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>> {
     // mow[v]: minimum out-edge weight (INF for sinks — they constrain
     // nothing, since no path continues through them).
     let mow: Vec<u64> = (0..g.num_vertices() as u32)
@@ -69,18 +67,19 @@ pub fn crauser_out_with(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u
 
 /// Per-query prepared OUT-criterion SSSP: the per-vertex minimum
 /// out-edge weights come precomputed from [`PreparedSssp::mow`]
-/// (skipping the one-shot version's `O(m)` rescan), the source from
-/// [`RunConfig::source`], and the distance array, active set and batch
-/// buffers are recycled through `scratch`. Output is identical to
-/// [`crauser_out`].
+/// (skipping the one-shot version's `O(m)` rescan), and the distance
+/// array, active set and batch buffers are recycled through `scratch`.
+/// Output is identical to [`crauser_out`].
 pub fn crauser_out_prepared(
-    prepared: &PreparedSssp<'_>,
+    g: &Graph,
+    source: u32,
+    prepared: &PreparedSssp,
     scratch: &mut Scratch,
     cfg: &RunConfig,
 ) -> Report<Vec<u64>> {
     crauser_out_core(
-        prepared.graph,
-        prepared.source_for(cfg),
+        g,
+        source,
         &prepared.mow,
         scratch,
         cfg.frontier,
@@ -119,7 +118,7 @@ fn crauser_out_core(
 
     while !active.is_empty() {
         // Cooperative cancellation, polled once per round.
-        if super::deadline_tripped(cancel) {
+        if deadline_tripped(cancel) {
             outcome = RunOutcome::DeadlineExceeded;
             break;
         }
@@ -196,7 +195,7 @@ fn crauser_out_core(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{dijkstra, sssp_phase_parallel};
+    use super::super::{delta_stepping, dijkstra};
     use super::*;
     use pp_graph::{gen, GraphBuilder};
 
@@ -205,7 +204,11 @@ mod tests {
         for seed in 0..5 {
             let g = gen::uniform(300, 1200, seed);
             let wg = gen::with_uniform_weights(&g, 1, 1000, seed + 10);
-            assert_eq!(crauser_out(&wg, 0).output, dijkstra(&wg, 0), "seed={seed}");
+            assert_eq!(
+                crauser_out(&wg, 0, &RunConfig::new()).output,
+                dijkstra(&wg, 0),
+                "seed={seed}"
+            );
         }
     }
 
@@ -213,11 +216,17 @@ mod tests {
     fn agrees_on_grid_and_rmat() {
         let g = gen::grid2d(18, 22);
         let wg = gen::with_uniform_weights(&g, 3, 60, 2);
-        assert_eq!(crauser_out(&wg, 5).output, dijkstra(&wg, 5));
+        assert_eq!(
+            crauser_out(&wg, 5, &RunConfig::new()).output,
+            dijkstra(&wg, 5)
+        );
 
         let g = gen::rmat(9, 4096, 11);
         let wg = gen::with_uniform_weights(&g, 1 << 17, 1 << 23, 12);
-        assert_eq!(crauser_out(&wg, 0).output, dijkstra(&wg, 0));
+        assert_eq!(
+            crauser_out(&wg, 0, &RunConfig::new()).output,
+            dijkstra(&wg, 0)
+        );
     }
 
     #[test]
@@ -225,7 +234,7 @@ mod tests {
         // Each reachable vertex's edges are relaxed exactly once.
         let g = gen::uniform(500, 2000, 7);
         let wg = gen::with_uniform_weights(&g, 1, 100, 8);
-        let report = crauser_out(&wg, 0);
+        let report = crauser_out(&wg, 0, &RunConfig::new());
         let d = &report.output;
         let want: u64 = (0..wg.num_vertices() as u32)
             .filter(|&v| d[v as usize] != INF)
@@ -241,7 +250,7 @@ mod tests {
         // but more interestingly, on a star all leaves settle in round 2.
         let g = gen::star(100);
         let wg = gen::with_uniform_weights(&g, 10, 10, 1);
-        let report = crauser_out(&wg, 0);
+        let report = crauser_out(&wg, 0, &RunConfig::new());
         assert!(report.output[1..].iter().all(|&x| x == 10));
         assert_eq!(report.stats.rounds, 2);
         assert_eq!(report.stats.max_frontier(), 99);
@@ -251,26 +260,30 @@ mod tests {
     fn rounds_never_exceed_settled_vertices() {
         let g = gen::uniform(400, 1600, 3);
         let wg = gen::with_uniform_weights(&g, 1, 1 << 20, 4);
-        let report = crauser_out(&wg, 0);
+        let report = crauser_out(&wg, 0, &RunConfig::new());
         let d = report.output;
         let reachable = d.iter().filter(|&&x| x != INF).count();
         assert!(report.stats.rounds <= reachable);
         // And agrees with the phase-parallel Δ = w* algorithm.
-        assert_eq!(d, sssp_phase_parallel(&wg, 0).output);
+        assert_eq!(d, delta_stepping(&wg, 0, &RunConfig::new()).output);
     }
 
     #[test]
     fn pinned_policies_agree() {
         let g = gen::rmat(8, 2048, 6);
         let wg = gen::with_uniform_weights(&g, 1, 1 << 12, 7);
-        let prepared = PreparedSssp::new(&wg, 0);
+        let prepared = PreparedSssp::new(&wg);
         let mut scratch = Scratch::new();
         let sparse = crauser_out_prepared(
+            &wg,
+            0,
             &prepared,
             &mut scratch,
             &RunConfig::new().with_frontier(FrontierPolicy::Sparse),
         );
         let dense = crauser_out_prepared(
+            &wg,
+            0,
             &prepared,
             &mut scratch,
             &RunConfig::new().with_frontier(FrontierPolicy::Dense),
@@ -285,9 +298,12 @@ mod tests {
         b.add_weighted(0, 1, 5);
         b.add_weighted(2, 3, 7);
         let g = b.build();
-        assert_eq!(crauser_out(&g, 0).output, vec![0, 5, INF, INF]);
+        assert_eq!(
+            crauser_out(&g, 0, &RunConfig::new()).output,
+            vec![0, 5, INF, INF]
+        );
 
         let g1 = GraphBuilder::new(1).weighted().build();
-        assert_eq!(crauser_out(&g1, 0).output, vec![0]);
+        assert_eq!(crauser_out(&g1, 0, &RunConfig::new()).output, vec![0]);
     }
 }

@@ -21,7 +21,7 @@
 
 use super::{PreparedSssp, INF};
 use phase_parallel::{
-    CancelToken, Frontier, FrontierPolicy, Report, RunConfig, RunOutcome, Scratch,
+    deadline_tripped, CancelToken, Frontier, FrontierPolicy, Report, RunConfig, RunOutcome, Scratch,
 };
 use pp_graph::{chunk, Graph};
 use rayon::prelude::*;
@@ -54,24 +54,19 @@ pub fn delta_stepping(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64
 }
 
 /// The per-query half of prepared Δ-stepping: Δ defaults to the
-/// precomputed `w_star` (no weight rescan), the source comes from
-/// [`RunConfig::source`], and the distance arrays, bucket queue and
-/// frontier engine are recycled through `scratch`. Output is identical
-/// to [`delta_stepping`] under the same configuration.
+/// precomputed `w_star` (no weight rescan), and the distance arrays,
+/// bucket queue and frontier engine are recycled through `scratch`.
+/// Output is identical to [`delta_stepping`] under the same
+/// configuration.
 pub fn delta_stepping_prepared(
-    prepared: &PreparedSssp<'_>,
+    g: &Graph,
+    source: u32,
+    prepared: &PreparedSssp,
     scratch: &mut Scratch,
     cfg: &RunConfig,
 ) -> Report<Vec<u64>> {
     let delta = cfg.delta.unwrap_or(prepared.w_star);
-    delta_stepping_core(
-        prepared.graph,
-        prepared.source_for(cfg),
-        delta,
-        scratch,
-        cfg.frontier,
-        cfg.cancel.as_ref(),
-    )
+    delta_stepping_core(g, source, delta, scratch, cfg.frontier, cfg.cancel.as_ref())
 }
 
 fn delta_stepping_core(
@@ -130,7 +125,7 @@ fn delta_stepping_core(
             // bucket iteration passes through here before doing work, so
             // a tripped deadline stops the run at substep granularity
             // with all scratch buffers still returned below.
-            if super::deadline_tripped(cancel) {
+            if deadline_tripped(cancel) {
                 outcome = RunOutcome::DeadlineExceeded;
                 break 'buckets;
             }
@@ -323,11 +318,11 @@ mod tests {
     fn prepared_matches_one_shot_and_reuses_buffers() {
         let g = gen::uniform(300, 1200, 8);
         let wg = gen::with_uniform_weights(&g, 1, 500, 9);
-        let prepared = PreparedSssp::new(&wg, 0);
+        let prepared = PreparedSssp::new(&wg);
         let mut scratch = Scratch::new();
         for (i, &src) in [0u32, 5, 123].iter().enumerate() {
             let cfg = RunConfig::seeded(1).with_source(src);
-            let from_prepared = delta_stepping_prepared(&prepared, &mut scratch, &cfg);
+            let from_prepared = delta_stepping_prepared(&wg, src, &prepared, &mut scratch, &cfg);
             let one_shot = delta_stepping(&wg, src, &RunConfig::seeded(1));
             assert_eq!(from_prepared.output, one_shot.output, "source {src}");
             assert_eq!(from_prepared.stats.rounds, one_shot.stats.rounds);
@@ -346,13 +341,13 @@ mod tests {
         // allocations (the no-sort/no-alloc acceptance criterion).
         let g = gen::rmat(9, 4096, 4);
         let wg = gen::with_uniform_weights(&g, 1 << 4, 1 << 10, 5);
-        let prepared = PreparedSssp::new(&wg, 0);
+        let prepared = PreparedSssp::new(&wg);
         let mut scratch = Scratch::new();
         for &src in &[0u32, 17, 99] {
-            delta_stepping_prepared(&prepared, &mut scratch, &RunConfig::new().with_source(src));
+            delta_stepping_prepared(&wg, src, &prepared, &mut scratch, &RunConfig::new());
         }
         let (takes, reuses) = (scratch.takes(), scratch.reuses());
-        delta_stepping_prepared(&prepared, &mut scratch, &RunConfig::new().with_source(311));
+        delta_stepping_prepared(&wg, 311, &prepared, &mut scratch, &RunConfig::new());
         assert_eq!(
             scratch.takes() - takes,
             scratch.reuses() - reuses,

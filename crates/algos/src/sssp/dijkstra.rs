@@ -3,8 +3,8 @@
 //! sequential iterative algorithm the phase-parallel version
 //! parallelizes.
 
-use super::{PreparedSssp, INF};
-use phase_parallel::{CancelToken, RunConfig, RunOutcome, Scratch};
+use super::INF;
+use phase_parallel::{deadline_tripped, CancelToken, Report, RunConfig, RunOutcome, Scratch};
 use pp_graph::Graph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -20,34 +20,20 @@ pub fn dijkstra(g: &Graph, source: u32) -> Vec<u64> {
 }
 
 /// Per-query prepared Dijkstra — the sequential engine for serving
-/// point queries from a prepared instance: source from
-/// [`RunConfig::source`], heap storage recycled through `scratch`.
-/// Output is identical to [`dijkstra`]. The heap loop polls the
-/// query's [`RunConfig::cancel`] token every `POLL_EVERY` (1024) settled
-/// vertices; a trip returns the partial distance array (settled
-/// vertices exact, the rest upper bounds or [`INF`]) under
-/// `RunOutcome::DeadlineExceeded`.
+/// point queries from a prepared instance: heap storage recycled
+/// through `scratch`. Output is identical to [`dijkstra`]. The heap
+/// loop polls the query's [`RunConfig::cancel`] token every
+/// `POLL_EVERY` (1024) settled vertices; a trip returns the partial
+/// distance array (settled vertices exact, the rest upper bounds or
+/// [`INF`]) under `RunOutcome::DeadlineExceeded`.
 pub fn dijkstra_prepared(
-    prepared: &PreparedSssp<'_>,
-    scratch: &mut Scratch,
-    cfg: &RunConfig,
-) -> (Vec<u64>, RunOutcome) {
-    dijkstra_core(
-        prepared.graph,
-        prepared.source_for(cfg),
-        scratch,
-        cfg.cancel.as_ref(),
-    )
-}
-
-/// [`dijkstra`] under an optional deadline (the one-shot counterpart of
-/// [`dijkstra_prepared`]).
-pub fn dijkstra_cancellable(
     g: &Graph,
     source: u32,
-    cancel: Option<&CancelToken>,
-) -> (Vec<u64>, RunOutcome) {
-    dijkstra_core(g, source, &mut Scratch::new(), cancel)
+    scratch: &mut Scratch,
+    cfg: &RunConfig,
+) -> Report<Vec<u64>> {
+    let (dist, outcome) = dijkstra_core(g, source, scratch, cfg.cancel.as_ref());
+    Report::plain(dist).with_outcome(outcome)
 }
 
 /// Runs Dijkstra drawing the heap's backing storage from `scratch`. The
@@ -73,7 +59,7 @@ fn dijkstra_core(
         since_poll += 1;
         if since_poll >= POLL_EVERY || since_poll == 1 {
             since_poll = 1;
-            if super::deadline_tripped(cancel) {
+            if deadline_tripped(cancel) {
                 outcome = RunOutcome::DeadlineExceeded;
                 break;
             }

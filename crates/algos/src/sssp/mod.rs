@@ -9,9 +9,8 @@
 //!
 //! * [`dijkstra`] — the sequential work-efficient baseline.
 //! * [`bellman_ford`] — the parallel work-inefficient baseline.
-//! * [`delta_stepping`] — bucketed Δ-stepping; `delta = w*` gives the
-//!   phase-parallel algorithm of Theorem 4.5.
-//! * [`sssp_phase_parallel`] — the Δ = w* instantiation.
+//! * [`delta_stepping`] — bucketed Δ-stepping; `delta = w*` (the
+//!   default) gives the phase-parallel algorithm of Theorem 4.5.
 //! * [`rho_stepping`] — the count-based stepping of the paper's \[39\],
 //!   the implementation family Fig. 6 is measured with.
 //! * [`crauser_out`] — Crauser et al.'s OUT-criterion \[31\], the
@@ -24,29 +23,18 @@ mod dijkstra;
 mod pam_dijkstra;
 mod rho_stepping;
 
-pub use bellman_ford::{bellman_ford, bellman_ford_prepared, bellman_ford_with};
-pub use crauser::{crauser_out, crauser_out_prepared, crauser_out_with};
+pub use bellman_ford::{bellman_ford, bellman_ford_prepared};
+pub use crauser::{crauser_out, crauser_out_prepared};
 pub use delta_stepping::{delta_stepping, delta_stepping_prepared};
-pub use dijkstra::{dijkstra, dijkstra_cancellable, dijkstra_prepared};
-pub use pam_dijkstra::{sssp_pam, sssp_pam_prepared, sssp_pam_with};
+pub use dijkstra::{dijkstra, dijkstra_prepared};
+pub use pam_dijkstra::{sssp_pam, sssp_pam_prepared};
 pub use rho_stepping::{rho_stepping, rho_stepping_prepared, DEFAULT_RHO};
 
-use phase_parallel::{CancelToken, Report, RunConfig};
 use pp_graph::Graph;
 use rayon::prelude::*;
 
 /// Unreachable-distance sentinel.
 pub const INF: u64 = u64::MAX;
-
-/// One cancellation poll, shared by every round loop in the family:
-/// `None` (no deadline armed) costs a branch, `Some` costs one relaxed
-/// atomic load. Polls are observation-free — they never change what a
-/// run computes, only whether it keeps going — so happy-path digests
-/// are byte-identical with and without a deadline (pinned registry-wide
-/// by the serve conformance tests).
-pub(crate) fn deadline_tripped(cancel: Option<&CancelToken>) -> bool {
-    phase_parallel::deadline_tripped(cancel)
-}
 
 /// Relax `members` in edge-balanced packets (degree-prefix chunker,
 /// [`pp_graph::chunk`]): everything `relax(v)` yields is appended to
@@ -84,14 +72,7 @@ where
     total
 }
 
-/// The paper's phase-parallel SSSP: Δ-stepping with Δ = w*
-/// (Theorem 4.5). Panics on unweighted or edgeless graphs.
-pub fn sssp_phase_parallel(g: &Graph, source: u32) -> Report<Vec<u64>> {
-    let w_star = g.min_weight().expect("weighted graph required").max(1);
-    delta_stepping(g, source, &RunConfig::new().with_delta(w_star))
-}
-
-/// The amortized SSSP instance shared by the whole family: everything
+/// The amortized SSSP structure shared by the whole family: everything
 /// that depends on the *graph* alone is computed here once, so each
 /// per-source query (`*_prepared`) starts straight at the rounds.
 ///
@@ -102,13 +83,9 @@ pub fn sssp_phase_parallel(g: &Graph, source: u32) -> Report<Vec<u64>> {
 ///   settling threshold input (Crauser et al.); again an `O(m)` scan a
 ///   one-shot [`crauser_out`] repeats per call.
 ///
-/// The query-time source comes from [`RunConfig::source`], falling back
-/// to the instance's own `source`.
-pub struct PreparedSssp<'g> {
-    /// The (borrowed) CSR graph queries run against.
-    pub graph: &'g Graph,
-    /// Default source when a query does not override it.
-    pub source: u32,
+/// It holds no reference to the graph: queries take the graph (and the
+/// source, from [`crate::api::SsspInstance::source_for`]) next to it.
+pub struct PreparedSssp {
     /// Minimum edge weight (1 on edgeless graphs): the phase-parallel
     /// Δ default.
     pub w_star: u64,
@@ -116,48 +93,34 @@ pub struct PreparedSssp<'g> {
     pub mow: Vec<u64>,
 }
 
-impl<'g> PreparedSssp<'g> {
-    /// Precompute the family's shared instance structure for `graph`.
-    pub fn new(graph: &'g Graph, source: u32) -> Self {
+impl PreparedSssp {
+    /// Precompute the family's shared structure for `graph`.
+    pub fn new(graph: &Graph) -> Self {
         let n = graph.num_vertices();
-        assert!((source as usize) < n, "source {source} out of range ({n})");
         let w_star = graph.min_weight().unwrap_or(1).max(1);
         let mow: Vec<u64> = (0..n as u32)
             .into_par_iter()
             .map(|v| graph.edge_weights(v).iter().copied().min().unwrap_or(INF))
             .collect();
-        Self {
-            graph,
-            source,
-            w_star,
-            mow,
-        }
-    }
-
-    /// The source this query runs from: the query's
-    /// [`RunConfig::source`] override, or the instance default.
-    pub fn source_for(&self, cfg: &RunConfig) -> u32 {
-        let s = cfg.source.unwrap_or(self.source);
-        let n = self.graph.num_vertices();
-        assert!((s as usize) < n, "query source {s} out of range ({n})");
-        s
+        Self { w_star, mow }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phase_parallel::RunConfig;
     use pp_graph::gen;
 
     fn check_all_agree(g: &Graph, source: u32) {
         let d1 = dijkstra(g, source);
-        let d2 = bellman_ford(g, source);
+        let d2 = bellman_ford(g, source, &RunConfig::new()).output;
         assert_eq!(d1, d2, "dijkstra vs bellman-ford");
         for delta in [1u64, 7, 1 << 10, 1 << 20] {
             let d3 = delta_stepping(g, source, &RunConfig::new().with_delta(delta)).output;
             assert_eq!(d1, d3, "dijkstra vs delta={delta}");
         }
-        assert_eq!(d1, sssp_phase_parallel(g, source).output);
+        assert_eq!(d1, delta_stepping(g, source, &RunConfig::new()).output);
     }
 
     #[test]
@@ -195,7 +158,7 @@ mod tests {
         assert_eq!(d, vec![0, 5, INF, INF]);
         let d2 = delta_stepping(&g, 0, &RunConfig::new().with_delta(5)).output;
         assert_eq!(d2, d);
-        assert_eq!(bellman_ford(&g, 0), d);
+        assert_eq!(bellman_ford(&g, 0, &RunConfig::new()).output, d);
     }
 
     #[test]

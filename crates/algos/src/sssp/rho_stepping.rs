@@ -23,9 +23,10 @@
 //! extraction is a stamp-`retain`, and batch relaxation runs in
 //! edge-balanced packets. All buffers recycle through [`Scratch`].
 
-use super::{PreparedSssp, INF};
+use super::INF;
 use phase_parallel::{
-    CancelToken, ExecutionStats, Frontier, FrontierPolicy, Report, RunConfig, RunOutcome, Scratch,
+    deadline_tripped, CancelToken, ExecutionStats, Frontier, FrontierPolicy, Report, RunConfig,
+    RunOutcome, Scratch,
 };
 use pp_graph::Graph;
 use rayon::prelude::*;
@@ -55,18 +56,20 @@ pub fn rho_stepping(g: &Graph, source: u32, cfg: &RunConfig) -> Report<Vec<u64>>
     )
 }
 
-/// Per-query prepared ρ-stepping: source from [`RunConfig::source`],
-/// distance array, active pool and batch buffers recycled through
-/// `scratch`. Output is identical to [`rho_stepping`] under the same
-/// configuration.
+/// Per-query prepared ρ-stepping: distance array, active pool and batch
+/// buffers recycled through `scratch`. Output is identical to
+/// [`rho_stepping`] under the same configuration. ρ-stepping reads
+/// neither w* nor the minimum out-weights, so it takes no prepared
+/// structure.
 pub fn rho_stepping_prepared(
-    prepared: &PreparedSssp<'_>,
+    g: &Graph,
+    source: u32,
     scratch: &mut Scratch,
     cfg: &RunConfig,
 ) -> Report<Vec<u64>> {
     rho_stepping_core(
-        prepared.graph,
-        prepared.source_for(cfg),
+        g,
+        source,
         cfg.rho.unwrap_or(DEFAULT_RHO),
         scratch,
         cfg.frontier,
@@ -105,7 +108,7 @@ fn rho_stepping_core(
 
     while !active.is_empty() {
         // Cooperative cancellation, polled once per step.
-        if super::deadline_tripped(cancel) {
+        if deadline_tripped(cancel) {
             outcome = RunOutcome::DeadlineExceeded;
             break;
         }

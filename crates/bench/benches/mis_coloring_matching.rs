@@ -22,7 +22,7 @@ fn bench_graph_greedy(c: &mut Criterion) {
             b.iter(|| mis::mis_tas(g, &pri))
         });
         group.bench_with_input(BenchmarkId::new("mis_rounds", name), &g, |b, g| {
-            b.iter(|| mis::mis_rounds(g, &pri))
+            b.iter(|| mis::mis_rounds(g, &pri, &RunConfig::new()))
         });
         let luby_cfg = RunConfig::seeded(5);
         group.bench_with_input(BenchmarkId::new("mis_luby", name), &g, |b, g| {

@@ -54,7 +54,7 @@ fn main() {
         });
         let t_act = with_threads(t, || {
             time_best(1, || {
-                std::hint::black_box(activity::max_weight_type1(&acts));
+                std::hint::black_box(activity::max_weight_type1(&acts, &RunConfig::new()));
             })
         });
         let t_mis = with_threads(t, || {

@@ -114,7 +114,7 @@ fn bench_family<A>(
 ) -> Tier
 where
     A: PhaseAlgorithm<Input = SsspInstance, Output = Vec<u64>> + Sync,
-    for<'q> A::Prepared<'q>: Sync,
+    A::Prepared: Sync,
 {
     let solver = Solver::new(algo).configure(|c| c.with_threads(threads));
     let checksum = |d: &Vec<u64>| d.iter().copied().fold(0u64, u64::wrapping_add);

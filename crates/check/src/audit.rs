@@ -541,9 +541,48 @@ pub fn audit_workspace(root: &Path) -> Vec<Violation> {
     violations
 }
 
+/// Total `unsafe` sites (as [`scan_source`] counts them) across the
+/// given source texts.
+pub fn count_unsafe_sites<'a>(sources: impl IntoIterator<Item = &'a str>) -> usize {
+    sources
+        .into_iter()
+        .map(|src| scan_source(src).unsafe_lines.len())
+        .sum()
+}
+
+/// `unsafe` sites per member crate of the workspace rooted at `root`,
+/// in member order: the figure refactors report as the unsafe-audit
+/// site count.
+pub fn unsafe_sites_per_crate(root: &Path) -> Vec<(String, usize)> {
+    workspace_crates(root)
+        .into_iter()
+        .map(|krate| {
+            let contents: Vec<String> = krate
+                .files
+                .iter()
+                .filter_map(|f| std::fs::read_to_string(f).ok())
+                .collect();
+            let sites = count_unsafe_sites(contents.iter().map(String::as_str));
+            (krate.name, sites)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn site_count_sums_sites_across_sources() {
+        let blocks =
+            "fn f() {\n    // SAFETY: disjoint.\n    unsafe { a() };\n    unsafe { b() };\n}\n";
+        let impls = "// SAFETY: owned.\nunsafe impl Send for X {}\nunsafe impl Sync for X {}\n";
+        let decoys = "// unsafe in a comment\nfn g() { let s = \"unsafe { x }\"; }\n";
+        assert_eq!(count_unsafe_sites([blocks]), 2);
+        assert_eq!(count_unsafe_sites([blocks, impls, decoys]), 4);
+        assert_eq!(count_unsafe_sites([decoys]), 0);
+        assert_eq!(count_unsafe_sites(std::iter::empty()), 0);
+    }
 
     #[test]
     fn covered_block_passes() {

@@ -7,7 +7,8 @@
 //!    negative controls: must fail with the expected diagnostic — a
 //!    checker that stops finding the seeded bug is itself broken);
 //! 2. the workspace unsafe audit (must be clean), plus an in-memory
-//!    fixture negative control (must be flagged).
+//!    fixture negative control (must be flagged). It also prints the
+//!    workspace's `unsafe` site count, in total and per crate.
 //!
 //! `PP_SMOKE=1` shrinks exploration budgets for constrained CI runners;
 //! the full exhaustive suite lives in `cargo test -p pp-check`.
@@ -173,6 +174,14 @@ fn main() {
                 }
                 gate.failures += violations.len();
             }
+            let per_crate = audit::unsafe_sites_per_crate(&root);
+            let total: usize = per_crate.iter().map(|(_, sites)| sites).sum();
+            let listed: Vec<String> = per_crate
+                .iter()
+                .filter(|(_, sites)| *sites > 0)
+                .map(|(name, sites)| format!("{name} {sites}"))
+                .collect();
+            println!("info unsafe sites: {total} ({})", listed.join(", "));
         }
         None => {
             println!("FAIL no workspace root found above {}", cwd.display());

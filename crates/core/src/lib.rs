@@ -54,10 +54,7 @@ pub mod type2;
 pub use cancel::{deadline_tripped, CancelToken, RunOutcome};
 pub use frontier::{Frontier, FrontierPolicy};
 pub use rank::{IndependenceSystem, RankFn};
-pub use reservations::{
-    speculative_for, speculative_for_cancellable, ReservationProblem, ReservationTable,
-    SpecForStats,
-};
+pub use reservations::{speculative_for, ReservationProblem, ReservationTable, SpecForStats};
 pub use scratch::{Scratch, ScratchLease};
 pub use solver::{
     BatchReport, PhaseAlgorithm, PivotMode, PreparedSolver, PrioritySource, Report, RunConfig,
@@ -65,5 +62,5 @@ pub use solver::{
 };
 pub use stats::ExecutionStats;
 pub use tas_tree::{TasForest, TasTree};
-pub use type1::{run_type1, run_type1_cancellable, Type1Problem};
-pub use type2::{probe_all, run_type2, run_type2_cancellable, Initial, Type2Problem, WakeResult};
+pub use type1::{run_type1, Type1Problem};
+pub use type2::{probe_all, run_type2, Initial, Type2Problem, WakeResult};

@@ -157,23 +157,15 @@ impl From<SpecForStats> for crate::ExecutionStats {
 /// `granularity` caps how many of the earliest unfinished iterates are
 /// attempted per round (`0` means "all", the maximal-parallelism choice
 /// whose worst case is the `O(D·m)` the paper discusses).
+///
+/// `cancel` is an optional cooperative deadline, polled at the top of
+/// every round before any reserve runs, so a pre-tripped token performs
+/// zero rounds. On a trip the uncommitted iterates are simply abandoned
+/// (the framework is idempotent per round, so partial state is exactly
+/// "everything committed so far") and the outcome is
+/// [`RunOutcome::DeadlineExceeded`]. An untripped token (or `None`)
+/// leaves the run byte-identical to the uncancelled engine.
 pub fn speculative_for<P: ReservationProblem>(
-    problem: &P,
-    table: &ReservationTable,
-    granularity: usize,
-) -> SpecForStats {
-    let (stats, _) = speculative_for_cancellable(problem, table, granularity, None);
-    stats
-}
-
-/// [`speculative_for`] with a cooperative deadline: the token is polled
-/// at the top of every round, before any reserve runs, so a pre-tripped
-/// token performs zero rounds. On a trip the uncommitted iterates are
-/// simply abandoned (the framework is idempotent per round, so partial
-/// state is exactly "everything committed so far") and the outcome is
-/// [`RunOutcome::DeadlineExceeded`]. An untripped token leaves the run
-/// byte-identical to the uncancelled engine.
-pub fn speculative_for_cancellable<P: ReservationProblem>(
     problem: &P,
     table: &ReservationTable,
     granularity: usize,
@@ -250,7 +242,7 @@ mod tests {
             cursor: AtomicU32::new(0),
         };
         let t = ReservationTable::new(1);
-        let stats = speculative_for(&p, &t, 0);
+        let (stats, _) = speculative_for(&p, &t, 0, None);
         // One iterate commits per round: fully sequential dependence.
         assert_eq!(stats.rounds, n as u64);
         for (k, slot) in p.order.iter().enumerate() {
@@ -290,7 +282,7 @@ mod tests {
             cursor: AtomicU32::new(0),
         };
         let t = ReservationTable::new(1);
-        let stats = speculative_for(&p, &t, 10);
+        let (stats, _) = speculative_for(&p, &t, 10, None);
         assert_eq!(stats.rounds, n as u64); // still one commit per round
         for (k, slot) in p.order.iter().enumerate() {
             assert_eq!(slot.load(Ordering::Relaxed), k as u32);
@@ -307,7 +299,7 @@ mod tests {
         let t = ReservationTable::new(1);
         let token = CancelToken::new();
         token.cancel();
-        let (stats, outcome) = speculative_for_cancellable(&p, &t, 0, Some(&token));
+        let (stats, outcome) = speculative_for(&p, &t, 0, Some(&token));
         assert_eq!(outcome, RunOutcome::DeadlineExceeded);
         assert_eq!(stats.rounds, 0);
         assert_eq!(p.cursor.load(Ordering::Relaxed), 0, "nothing committed");
@@ -322,7 +314,7 @@ mod tests {
         };
         let t = ReservationTable::new(1);
         let token = CancelToken::new();
-        let (stats, outcome) = speculative_for_cancellable(&p, &t, 0, Some(&token));
+        let (stats, outcome) = speculative_for(&p, &t, 0, Some(&token));
         assert_eq!(outcome, RunOutcome::Completed);
         assert_eq!(stats.rounds, n as u64);
     }
@@ -345,7 +337,7 @@ mod tests {
         }
         let p = Indep(5000);
         let t = ReservationTable::new(5000);
-        let stats = speculative_for(&p, &t, 0);
+        let (stats, _) = speculative_for(&p, &t, 0, None);
         assert_eq!(stats.rounds, 1);
         assert_eq!(stats.attempts, 5000);
     }

@@ -32,19 +32,14 @@ pub trait Type1Problem {
     fn finish(self) -> Self::Output;
 }
 
-/// Run Algorithm 1 over a Type 1 problem.
-pub fn run_type1<P: Type1Problem>(problem: P) -> (P::Output, ExecutionStats) {
-    let (out, stats, _) = run_type1_cancellable(problem, None);
-    (out, stats)
-}
-
-/// [`run_type1`] with a cooperative deadline: the token is polled at the
-/// top of every round (before extraction, so a pre-tripped token stops
-/// the run at zero rounds). On a trip the engine stops, finishes with
-/// its partial state, and reports [`RunOutcome::DeadlineExceeded`];
-/// stats cover only the rounds actually run. A token that never fires
-/// leaves the run byte-identical to the uncancelled engine.
-pub fn run_type1_cancellable<P: Type1Problem>(
+/// Run Algorithm 1 over a Type 1 problem, under an optional cooperative
+/// deadline: the token is polled at the top of every round (before
+/// extraction, so a pre-tripped token stops the run at zero rounds). On
+/// a trip the engine stops, finishes with its partial state, and
+/// reports [`RunOutcome::DeadlineExceeded`]; stats cover only the rounds
+/// actually run. A token that never fires (or `None`) leaves the run
+/// byte-identical to the uncancelled engine.
+pub fn run_type1<P: Type1Problem>(
     mut problem: P,
     cancel: Option<&CancelToken>,
 ) -> (P::Output, ExecutionStats, RunOutcome) {
@@ -99,12 +94,15 @@ mod tests {
 
     #[test]
     fn processes_everything_in_rank_rounds() {
-        let (done, stats) = run_type1(Blocks {
-            n: 103,
-            width: 10,
-            next: 0,
-            processed: vec![false; 103],
-        });
+        let (done, stats, _) = run_type1(
+            Blocks {
+                n: 103,
+                width: 10,
+                next: 0,
+                processed: vec![false; 103],
+            },
+            None,
+        );
         assert!(done.iter().all(|&b| b));
         assert_eq!(stats.rounds, 11); // ceil(103 / 10)
         assert_eq!(stats.processed(), 103);
@@ -115,7 +113,7 @@ mod tests {
     fn pre_tripped_token_stops_before_any_round() {
         let token = CancelToken::new();
         token.cancel();
-        let (done, stats, outcome) = run_type1_cancellable(
+        let (done, stats, outcome) = run_type1(
             Blocks {
                 n: 103,
                 width: 10,
@@ -132,7 +130,7 @@ mod tests {
     #[test]
     fn untripped_token_is_observation_free() {
         let token = CancelToken::new();
-        let (done, stats, outcome) = run_type1_cancellable(
+        let (done, stats, outcome) = run_type1(
             Blocks {
                 n: 103,
                 width: 10,
@@ -148,12 +146,15 @@ mod tests {
 
     #[test]
     fn empty_problem_runs_zero_rounds() {
-        let (_, stats) = run_type1(Blocks {
-            n: 0,
-            width: 10,
-            next: 0,
-            processed: vec![],
-        });
+        let (_, stats, _) = run_type1(
+            Blocks {
+                n: 0,
+                width: 10,
+                next: 0,
+                processed: vec![],
+            },
+            None,
+        );
         assert_eq!(stats.rounds, 0);
     }
 }

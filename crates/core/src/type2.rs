@@ -155,19 +155,14 @@ impl WaitLists {
     }
 }
 
-/// Run the Type 2 wake-up loop over a problem.
-pub fn run_type2<P: Type2Problem>(problem: P) -> (P::Output, ExecutionStats) {
-    let (out, stats, _) = run_type2_cancellable(problem, None);
-    (out, stats)
-}
-
-/// [`run_type2`] with a cooperative deadline: the token is polled at the
-/// top of every wake-up round, before the round's frontier commits, so a
-/// pre-tripped token stops the run with zero rounds. On a trip the
-/// engine finishes with partial state under
-/// [`RunOutcome::DeadlineExceeded`]; an untripped token leaves the run
-/// byte-identical to the uncancelled engine.
-pub fn run_type2_cancellable<P: Type2Problem>(
+/// Run the Type 2 wake-up loop over a problem, under an optional
+/// cooperative deadline: the token is polled at the top of every wake-up
+/// round, before the round's frontier commits, so a pre-tripped token
+/// stops the run with zero rounds. On a trip the engine finishes with
+/// partial state under [`RunOutcome::DeadlineExceeded`]; an untripped
+/// token (or `None`) leaves the run byte-identical to the uncancelled
+/// engine.
+pub fn run_type2<P: Type2Problem>(
     mut problem: P,
     cancel: Option<&CancelToken>,
 ) -> (P::Output, ExecutionStats, RunOutcome) {
@@ -261,10 +256,13 @@ mod tests {
     #[test]
     fn chain_runs_n_rounds() {
         let n = 50;
-        let (depths, stats) = run_type2(Chain {
-            n,
-            depth: (0..n).map(|_| AtomicU32::new(0)).collect(),
-        });
+        let (depths, stats, _) = run_type2(
+            Chain {
+                n,
+                depth: (0..n).map(|_| AtomicU32::new(0)).collect(),
+            },
+            None,
+        );
         assert_eq!(depths, (0..n).collect::<Vec<_>>());
         assert_eq!(stats.rounds, n as usize);
         assert_eq!(stats.failed_wakeups, 0);
@@ -300,9 +298,12 @@ mod tests {
 
     #[test]
     fn repivot_path() {
-        let (_, stats) = run_type2(Repivot {
-            finished: (0..3).map(|_| AtomicU32::new(0)).collect(),
-        });
+        let (_, stats, _) = run_type2(
+            Repivot {
+                finished: (0..3).map(|_| AtomicU32::new(0)).collect(),
+            },
+            None,
+        );
         // Rounds: {0}, {1}, {2}.
         assert_eq!(stats.rounds, 3);
         assert_eq!(stats.failed_wakeups, 1);
@@ -314,7 +315,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let n = 50;
-        let (depths, stats, outcome) = run_type2_cancellable(
+        let (depths, stats, outcome) = run_type2(
             Chain {
                 n,
                 depth: (0..n).map(|_| AtomicU32::new(0)).collect(),
@@ -330,7 +331,7 @@ mod tests {
     fn untripped_token_is_observation_free() {
         let token = CancelToken::new();
         let n = 50;
-        let (depths, stats, outcome) = run_type2_cancellable(
+        let (depths, stats, outcome) = run_type2(
             Chain {
                 n,
                 depth: (0..n).map(|_| AtomicU32::new(0)).collect(),
@@ -344,10 +345,13 @@ mod tests {
 
     #[test]
     fn empty_problem() {
-        let (_, stats) = run_type2(Chain {
-            n: 0,
-            depth: vec![],
-        });
+        let (_, stats, _) = run_type2(
+            Chain {
+                n: 0,
+                depth: vec![],
+            },
+            None,
+        );
         assert_eq!(stats.rounds, 0);
     }
 

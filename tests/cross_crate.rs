@@ -22,9 +22,9 @@ fn activity_pipeline_end_to_end() {
     for target in [1u64, 30, 3_000] {
         let acts = activity::workload::with_target_rank(30_000, target, target);
         let want = activity::max_weight_seq(&acts);
-        let r1 = activity::max_weight_type1(&acts);
-        let r1p = activity::max_weight_type1_pam(&acts);
-        let r2 = activity::max_weight_type2(&acts);
+        let r1 = activity::max_weight_type1(&acts, &RunConfig::new());
+        let r1p = activity::max_weight_type1_pam(&acts, &RunConfig::new());
+        let r2 = activity::max_weight_type2(&acts, &RunConfig::new());
         assert_eq!(r1.output, want);
         assert_eq!(r1p.output, want);
         assert_eq!(r2.output, want);
@@ -60,7 +60,7 @@ fn knapsack_par_matches_seq_large() {
         .map(|_| Item::new(5 + r.range(50), 1 + r.range(1000)))
         .collect();
     let w = 20_000;
-    let report = max_value_par(&items, w);
+    let report = max_value_par(&items, w, &RunConfig::new());
     assert_eq!(report.output, max_value_seq(&items, w));
     let w_star = items.iter().map(|i| i.weight).min().unwrap();
     assert_eq!(report.stats.rounds as u64, (w).div_ceil(w_star));
@@ -78,7 +78,7 @@ fn huffman_par_optimal_on_all_distributions() {
         .collect();
     for (freqs, label) in [(uniform, "uniform"), (zipf, "zipf"), (expo, "exponential")] {
         let seq = huffman::build_seq(&freqs);
-        let report = huffman::build_par_with_stats(&freqs);
+        let report = huffman::build_par(&freqs, &RunConfig::new());
         let (par, stats) = (report.output, report.stats);
         assert_eq!(
             seq.weighted_path_length(&freqs),
@@ -108,8 +108,12 @@ fn sssp_all_algorithms_on_all_graph_shapes() {
     for (label, g) in shapes {
         let wg = gen::with_uniform_weights(&g, 1 << 10, 1 << 16, 3);
         let base = sssp::dijkstra(&wg, 0);
-        assert_eq!(sssp::bellman_ford(&wg, 0), base, "{label} bellman-ford");
-        let d = sssp::sssp_phase_parallel(&wg, 0).output;
+        assert_eq!(
+            sssp::bellman_ford(&wg, 0, &RunConfig::new()).output,
+            base,
+            "{label} bellman-ford"
+        );
+        let d = sssp::delta_stepping(&wg, 0, &RunConfig::new()).output;
         assert_eq!(d, base, "{label} phase-parallel");
         for delta in [1u64 << 8, 1 << 14, 1 << 20] {
             let d = sssp::delta_stepping(&wg, 0, &RunConfig::new().with_delta(delta)).output;
@@ -127,7 +131,7 @@ fn graph_greedy_trio_agree_everywhere() {
         // MIS.
         let set = mis::mis_seq(&g, &pri);
         assert_eq!(mis::mis_tas(&g, &pri), set);
-        assert_eq!(mis::mis_rounds(&g, &pri).output, set);
+        assert_eq!(mis::mis_rounds(&g, &pri, &RunConfig::new()).output, set);
         assert!(mis::is_maximal_independent(&g, &set));
         // Coloring.
         let col = coloring_seq(&g, &pri);
@@ -156,8 +160,13 @@ fn results_identical_across_thread_counts() {
             lis::lis_par(&series, &lis_cfg).output,
             mis::mis_tas(&g, &pri),
             coloring_par(&g, &pri),
-            activity::max_weight_type1(&acts).output,
-            sssp::sssp_pam(&gen::with_uniform_weights(&g, 10, 100, 6), 0).output,
+            activity::max_weight_type1(&acts, &RunConfig::new()).output,
+            sssp::sssp_pam(
+                &gen::with_uniform_weights(&g, 10, 100, 6),
+                0,
+                &RunConfig::new(),
+            )
+            .output,
         )
     };
     let reference = run_all();
@@ -277,8 +286,11 @@ fn sssp_relaxed_rank_family_agrees_on_all_shapes() {
             sssp::rho_stepping(&wg, src, &RunConfig::new().with_rho(64)).output,
             want
         );
-        assert_eq!(sssp::crauser_out(&wg, src).output, want);
-        assert_eq!(sssp::sssp_phase_parallel(&wg, src).output, want);
+        assert_eq!(sssp::crauser_out(&wg, src, &RunConfig::new()).output, want);
+        assert_eq!(
+            sssp::delta_stepping(&wg, src, &RunConfig::new()).output,
+            want
+        );
     }
 }
 
@@ -288,7 +300,7 @@ fn mis_family_maximality_and_greedy_equality() {
     let pri = random_priorities(g.num_vertices(), 18);
     let greedy = mis::mis_seq(&g, &pri);
     assert_eq!(mis::mis_tas(&g, &pri), greedy);
-    assert_eq!(mis::mis_rounds(&g, &pri).output, greedy);
+    assert_eq!(mis::mis_rounds(&g, &pri, &RunConfig::new()).output, greedy);
     // Luby: maximal but a different (non-greedy) set is allowed.
     let luby = mis::mis_luby(&g, &RunConfig::seeded(19)).output;
     assert!(mis::is_maximal_independent(&g, &luby));

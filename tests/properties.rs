@@ -184,21 +184,21 @@ proptest! {
             .collect();
         let acts = activity::sort_by_end(acts);
         let want = activity::max_weight_seq(&acts);
-        prop_assert_eq!(activity::max_weight_type1(&acts).output, want);
-        prop_assert_eq!(activity::max_weight_type2(&acts).output, want);
+        prop_assert_eq!(activity::max_weight_type1(&acts, &RunConfig::new()).output, want);
+        prop_assert_eq!(activity::max_weight_type2(&acts, &RunConfig::new()).output, want);
     }
 
     #[test]
     fn knapsack_par_equals_seq(raw in prop::collection::vec((1u64..30, 0u64..100), 1..15),
                                w in 0u64..400) {
         let items: Vec<Item> = raw.into_iter().map(|(wt, v)| Item::new(wt, v)).collect();
-        prop_assert_eq!(max_value_par(&items, w).output, max_value_seq(&items, w));
+        prop_assert_eq!(max_value_par(&items, w, &RunConfig::new()).output, max_value_seq(&items, w));
     }
 
     #[test]
     fn huffman_par_wpl_is_optimal(freqs in prop::collection::vec(1u64..10_000, 1..200)) {
         let seq = huffman::build_seq(&freqs);
-        let par = huffman::build_par(&freqs);
+        let par = huffman::build_par(&freqs, &RunConfig::new()).output;
         prop_assert_eq!(seq.weighted_path_length(&freqs), par.weighted_path_length(&freqs));
         prop_assert!(par.kraft_holds());
     }
@@ -206,7 +206,7 @@ proptest! {
     #[test]
     fn huffman_canonical_roundtrip(freqs in prop::collection::vec(1u64..500, 2..100),
                                    msg_seed in any::<u64>()) {
-        let tree = huffman::build_par(&freqs);
+        let tree = huffman::build_par(&freqs, &RunConfig::new()).output;
         let code = huffman::CanonicalCode::from_tree(&tree);
         let n = freqs.len();
         let msg: Vec<usize> = (0..300)
@@ -274,7 +274,7 @@ proptest! {
         let base = pp_algos::sssp::dijkstra(&wg, 0);
         let d = pp_algos::sssp::delta_stepping(&wg, 0, &RunConfig::new().with_delta(w_min)).output;
         prop_assert_eq!(&d, &base);
-        let d = pp_algos::sssp::sssp_pam(&wg, 0).output;
+        let d = pp_algos::sssp::sssp_pam(&wg, 0, &RunConfig::new()).output;
         prop_assert_eq!(&d, &base);
     }
 
@@ -449,7 +449,7 @@ proptest! {
         let want = pp_algos::sssp::dijkstra(&wg, 0);
         let rho = pp_algos::sssp::rho_stepping(&wg, 0, &RunConfig::new().with_rho(8)).output;
         prop_assert_eq!(&rho, &want);
-        let cr = pp_algos::sssp::crauser_out(&wg, 0).output;
+        let cr = pp_algos::sssp::crauser_out(&wg, 0, &RunConfig::new()).output;
         prop_assert_eq!(&cr, &want);
     }
 
